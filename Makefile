@@ -134,6 +134,7 @@ bench:
 fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadCSV -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzJournalReplay -fuzztime 30s
+	$(GO) test ./internal/core/ -fuzz FuzzHierarchyCounts -fuzztime 30s
 
 check: build vet lint obs-check serve-check durable-check cluster-check chaos-check obs-fleet-check load-check race
 	@echo "all checks passed"

@@ -72,8 +72,8 @@ type Config struct {
 	// T=1, and only supported by the naïve algorithm).
 	OrderedDistance bool
 	// Workers, when above 1, parallelizes the optimized identification:
-	// the hierarchy is preloaded with one sharded counting pass and the
-	// per-node scans are fanned out across that many goroutines. The
+	// the hierarchy's counts are preloaded and the per-node scans are
+	// fanned out across that many goroutines. The
 	// result is identical to the sequential run.
 	Workers int
 	// EuclideanT, when positive, selects the fully general Def. 4
@@ -235,14 +235,31 @@ func (res *Result) DominatesSignificant(g pattern.Pattern) bool {
 
 // Hierarchy is the traversal structure of Fig. 1: the space of regions
 // grouped into nodes by deterministic-attribute mask, with memoized
-// per-node count tables so that dominating-region counts are computed
-// once and shared across all regions of a node (§III-B).
+// counts so that dominating-region counts are computed once and shared
+// across all regions of a node (§III-B).
+//
+// The counts live in one of two backends, chosen on the first count
+// read from the data then present. The dense backend is one
+// pattern.Cube over the whole lattice, used when Space.CubeFits the
+// row count. The sparse backend keeps one hash table per node, counted
+// lazily; it holds spaces too large for a cube.
 type Hierarchy struct {
-	Space  *pattern.Space
-	Data   *dataset.Dataset
-	tables map[uint32]pattern.Table
-	totals pattern.Counts
+	Space   *pattern.Space
+	Data    *dataset.Dataset
+	backend backend
+	cube    *pattern.Cube            // dense backend
+	tables  map[uint32]pattern.Table // sparse backend
+	totals  pattern.Counts
 }
+
+// backend names a Hierarchy's count store.
+type backend uint8
+
+const (
+	undecided backend = iota // no count read since the last invalidation
+	dense
+	sparse
+)
 
 // NewHierarchy constructs the hierarchy over the protected attributes
 // of d's schema.
@@ -259,13 +276,44 @@ func NewHierarchy(d *dataset.Dataset) (*Hierarchy, error) {
 	}, nil
 }
 
-// Preload materializes every node's count table so subsequent Node
-// calls (including concurrent ones) only read. Each node's group-by is
-// independent, so the masks are fanned out across workers directly —
-// cheaper than merging one dense lattice table. workers <= 0 selects
-// GOMAXPROCS. A non-nil error means the preload did not complete (a
-// counting worker panicked); the hierarchy remains usable and missing
-// tables are computed lazily.
+// chooseBackend fixes the backend on the first count read, from the
+// data then present.
+func (h *Hierarchy) chooseBackend() backend {
+	if h.backend == undecided {
+		h.backend = sparse
+		if h.Space.CubeFits(h.Data.Len()) {
+			h.backend = dense
+		}
+	}
+	return h.backend
+}
+
+// isDense reports whether the counts live in the dense cube, building
+// the cube if it is missing.
+func (h *Hierarchy) isDense() bool {
+	if h.chooseBackend() != dense {
+		return false
+	}
+	if h.cube == nil {
+		h.cube = h.Space.CountCube(h.Data)
+	}
+	return true
+}
+
+// count returns the counts of region p.
+func (h *Hierarchy) count(p pattern.Pattern) pattern.Counts {
+	if h.isDense() {
+		return h.cube.At(h.cube.Index(p))
+	}
+	return h.Node(p.Mask())[h.Space.Key(p)]
+}
+
+// Preload materializes every count so subsequent reads (including
+// concurrent ones) only read. The dense backend counts its cube in one
+// pass. The sparse backend fans the per-node group-bys out across
+// workers; workers <= 0 selects GOMAXPROCS. A non-nil error means the
+// preload did not complete (a counting worker panicked); the hierarchy
+// remains usable and missing counts are computed lazily.
 func (h *Hierarchy) Preload(workers int) error {
 	return h.PreloadCtx(context.Background(), workers)
 }
@@ -284,6 +332,10 @@ func (h *Hierarchy) PreloadCtx(ctx context.Context, workers int) error {
 	psp.SetInt("nodes", int64(len(masks)))
 	psp.SetInt("workers", int64(workers))
 	defer psp.End()
+	if h.chooseBackend() == dense {
+		psp.SetStr("backend", "dense")
+		return h.preloadCube(ctx)
+	}
 	tables := make([]pattern.Table, len(masks))
 	errs := make([]error, len(masks))
 	sem := make(chan struct{}, workers)
@@ -338,9 +390,38 @@ dispatch:
 	return ctx.Err()
 }
 
-// Node returns the count table of the node identified by mask,
-// computing and caching it on first use.
+// preloadCube counts the dense cube, if it is missing, as one
+// preload shard over the full-lattice mask, with the sparse shards'
+// fault point and panic recovery.
+func (h *Hierarchy) preloadCube(ctx context.Context) (err error) {
+	if h.cube != nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	full := uint32(1)<<uint(h.Space.Dim()) - 1
+	defer func() {
+		if r := recover(); r != nil {
+			err = &WorkerPanicError{Mask: full, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	if faults.Active() {
+		if err := faults.FireCtx(ctx, faults.PreloadWorker, full); err != nil {
+			return fmt.Errorf("core: preload node %#x: %w", full, err)
+		}
+	}
+	h.cube = h.Space.CountCube(h.Data)
+	return nil
+}
+
+// Node returns the count table of the node identified by mask. On the
+// sparse backend it is the memoized table, computed on first use; on
+// the dense backend it is a fresh copy of the node's non-empty cells.
 func (h *Hierarchy) Node(mask uint32) pattern.Table {
+	if h.isDense() {
+		return h.cube.Node(mask)
+	}
 	if t, ok := h.tables[mask]; ok {
 		return t
 	}
@@ -352,9 +433,12 @@ func (h *Hierarchy) Node(mask uint32) pattern.Table {
 // Totals returns the level-0 counts of the dataset.
 func (h *Hierarchy) Totals() pattern.Counts { return h.totals }
 
-// Invalidate drops all memoized tables; the remedy loop calls it after
-// mutating the dataset.
+// Invalidate drops all memoized counts; the next count read chooses
+// the backend afresh. The remedy loop calls it after mutating the
+// dataset.
 func (h *Hierarchy) Invalidate() {
+	h.backend = undecided
+	h.cube = nil
 	h.tables = make(map[uint32]pattern.Table)
 	h.totals = pattern.Totals(h.Data)
 }
@@ -366,11 +450,11 @@ func (h *Hierarchy) SetData(d *dataset.Dataset) {
 	h.Invalidate()
 }
 
-// AddRow incrementally credits one appended instance to every cached
-// node table and the totals, so the remedy loop can keep the hierarchy
-// consistent without recounting (the tables for masks not yet
-// materialized are computed lazily from the already-updated dataset,
-// which keeps the two sources consistent).
+// AddRow incrementally credits one appended instance to the counts
+// and the totals, so the remedy loop can keep the hierarchy consistent
+// without recounting. Counts not yet materialized (the cube before the
+// first read, sparse tables of unread nodes) are computed later from
+// the already-updated dataset, which keeps the two sources consistent.
 func (h *Hierarchy) AddRow(row []int32, positive bool) {
 	h.adjust(row, positive, +1)
 }
@@ -387,27 +471,30 @@ func (h *Hierarchy) FlipRow(row []int32, nowPositive bool) {
 	if !nowPositive {
 		delta = -1
 	}
-	h.totals.Pos += delta
-	for mask, table := range h.tables {
-		k := h.rowKey(row, mask)
-		c := table[k]
-		c.Pos += delta
-		table[k] = c
-	}
+	h.apply(row, 0, delta)
 }
 
 func (h *Hierarchy) adjust(row []int32, positive bool, delta int) {
-	h.totals.N += delta
+	pos := 0
 	if positive {
-		h.totals.Pos += delta
+		pos = delta
+	}
+	h.apply(row, delta, pos)
+}
+
+// apply adds dn to |r| and dp to |r+| of the totals and of every
+// materialized region containing row.
+func (h *Hierarchy) apply(row []int32, dn, dp int) {
+	h.totals.N += dn
+	h.totals.Pos += dp
+	if h.cube != nil {
+		h.cube.AddRow(row, dn, dp)
 	}
 	for mask, table := range h.tables {
 		k := h.rowKey(row, mask)
 		c := table[k]
-		c.N += delta
-		if positive {
-			c.Pos += delta
-		}
+		c.N += dn
+		c.Pos += dp
 		table[k] = c
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -250,20 +251,25 @@ func TestHierarchyCachingAndInvalidate(t *testing.T) {
 	}
 	t1 := h.Node(0b011)
 	t2 := h.Node(0b011)
-	if &t1 == nil || len(t1) != len(t2) {
+	if len(t1) == 0 || !reflect.DeepEqual(t1, t2) {
 		t.Fatal("cache broken")
 	}
 	tot := h.Totals()
 	if tot.N != 500 {
 		t.Fatalf("totals %+v", tot)
 	}
-	// Mutate data: drop half; Invalidate must refresh.
-	h.SetData(d.Subset([]int{0, 1, 2, 3, 4}))
+	// Swap in a 5-row subset; SetData must drop every stale count.
+	sub := d.Subset([]int{0, 1, 2, 3, 4})
+	h.SetData(sub)
 	if h.Totals().N != 5 {
 		t.Fatalf("totals after SetData = %+v", h.Totals())
 	}
-	if n := h.Node(0b011); len(n) > len(t1) {
-		t.Fatal("node table not recomputed")
+	fresh, err := NewHierarchy(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.Node(0b011), fresh.Node(0b011); !reflect.DeepEqual(got, want) {
+		t.Fatalf("node after SetData %v, want a fresh hierarchy's %v", got, want)
 	}
 }
 

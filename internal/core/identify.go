@@ -130,12 +130,11 @@ func (h *Hierarchy) IdentifyNaiveCtx(ctx context.Context, cfg Config) (*Result, 
 	k := cfg.minSize()
 	c := &canceler{}
 	for _, mask := range h.masksForScope(cfg.Scope) {
-		node := h.Node(mask)
 		h.Space.EnumerateNodeUntil(mask, func(p pattern.Pattern) bool {
 			if c.cancelled(ctx) {
 				return false
 			}
-			rc := node[h.Space.Key(p)]
+			rc := h.count(p)
 			if rc.N <= k {
 				res.Pruned++
 				return true
@@ -308,11 +307,10 @@ func (h *Hierarchy) IdentifyOptimizedCtx(ctx context.Context, cfg Config) (*Resu
 	return res, c.err
 }
 
-// identifyOptimizedParallel preloads every node table with a sharded
-// counting pass and scans the nodes concurrently. After Preload the
-// tables are read-only, so the per-node scans share them without
-// synchronization; each goroutine accumulates into a private Result and
-// the shards merge deterministically.
+// identifyOptimizedParallel preloads every count and scans the nodes
+// concurrently. After Preload the counts are read-only, so the per-node
+// scans share them without synchronization; each goroutine accumulates
+// into a private Result and the shards merge deterministically.
 //
 // Failure handling: a panic inside a worker is recovered into a
 // *WorkerPanicError carrying the node mask, and the first failure —
@@ -436,7 +434,6 @@ dispatch:
 // 4-12 of Algorithm 1) for one hierarchy node, appending biased regions
 // to res. The scan aborts early once c reports cancellation.
 func (h *Hierarchy) scanNodeOptimized(ctx context.Context, mask uint32, cfg Config, res *Result, c *canceler) {
-	node := h.Node(mask)
 	k := cfg.minSize()
 	d := levelOf(mask)
 	T := cfg.T
@@ -447,7 +444,7 @@ func (h *Hierarchy) scanNodeOptimized(ctx context.Context, mask uint32, cfg Conf
 		if c.cancelled(ctx) {
 			return false
 		}
-		rc := node[h.Space.Key(p)]
+		rc := h.count(p)
 		if rc.N <= k {
 			res.Pruned++
 			return true
@@ -505,13 +502,24 @@ func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, rc pattern.Counts, 
 	}
 	var sum pattern.Counts
 	size := 0
-	h.ancestorsTLevelsUp(p, T, func(q pattern.Pattern) {
-		c := h.Node(q.Mask())[h.Space.Key(q)]
+	add := func(c pattern.Counts) {
 		sum.N += c.N
 		sum.Pos += c.Pos
 		size++
-		res.NeighborOps++
-	})
+	}
+	if T == 1 && h.isDense() {
+		// Dropping slot i zeroes its digit: that parent's cell lies
+		// (p[i]+1)·stride_i below p's.
+		idx := h.cube.Index(p)
+		for i, v := range p {
+			if v != pattern.Wildcard {
+				add(h.cube.At(idx - int(v+1)*h.cube.Stride(i)))
+			}
+		}
+	} else {
+		h.ancestorsTLevelsUp(p, T, func(q pattern.Pattern) { add(h.count(q)) })
+	}
+	res.NeighborOps += size
 	return pattern.Counts{N: sum.N - size*rc.N, Pos: sum.Pos - size*rc.Pos}
 }
 

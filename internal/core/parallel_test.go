@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/synth"
@@ -28,32 +29,23 @@ func TestParallelIdentifyScopes(t *testing.T) {
 	}
 }
 
+// TestPreloadMatchesLazyTables compares each backend's preloaded counts
+// with the sparse backend's lazily counted node tables.
 func TestPreloadMatchesLazyTables(t *testing.T) {
 	d := synth.CompasN(2000, 23)
-	lazy, err := NewHierarchy(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager, err := NewHierarchy(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eager.Preload(4); err != nil {
-		t.Fatal(err)
-	}
-	for _, mask := range lazy.MasksForScope(Lattice) {
-		a := lazy.Node(mask)
-		b := eager.Node(mask)
-		if len(a) != len(b) {
-			t.Fatalf("mask %b: %d vs %d entries", mask, len(a), len(b))
+	lazy := newHierarchyOn(t, d, sparse)
+	for _, bk := range backends {
+		eager := newHierarchyOn(t, d, bk.b)
+		if err := eager.Preload(4); err != nil {
+			t.Fatal(err)
 		}
-		for k, c := range a {
-			if b[k] != c {
-				t.Fatalf("mask %b key %d: %+v vs %+v", mask, k, c, b[k])
+		for _, mask := range lazy.MasksForScope(Lattice) {
+			if a, b := lazy.Node(mask), eager.Node(mask); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s mask %b: lazy %v, preloaded %v", bk.name, mask, a, b)
 			}
 		}
-	}
-	if lazy.Totals() != eager.Totals() {
-		t.Fatal("totals differ")
+		if lazy.Totals() != eager.Totals() {
+			t.Fatalf("%s: totals differ", bk.name)
+		}
 	}
 }

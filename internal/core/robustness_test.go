@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -89,13 +90,18 @@ func TestPreloadWorkerPanicRecovered(t *testing.T) {
 	faults.Set(faults.PreloadWorker, func(arg any) error {
 		panic("preload boom")
 	})
-	h, err := NewHierarchy(synth.CompasN(1000, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wp *WorkerPanicError
-	if err := h.Preload(4); !errors.As(err, &wp) {
-		t.Fatalf("Preload err = %v, want *WorkerPanicError", err)
+	d := synth.CompasN(1000, 9)
+	for _, bk := range backends {
+		h := newHierarchyOn(t, d, bk.b)
+		var wp *WorkerPanicError
+		if err := h.Preload(4); !errors.As(err, &wp) {
+			t.Fatalf("%s: Preload err = %v, want *WorkerPanicError", bk.name, err)
+		}
+		// The hierarchy stays usable: counts missing after the failed
+		// preload are computed on first read.
+		if got, want := h.Node(0b001), newHierarchyOn(t, d, bk.b).Node(0b001); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: node after failed preload %v, want %v", bk.name, got, want)
+		}
 	}
 	assertNoGoroutineLeak(t, base)
 }

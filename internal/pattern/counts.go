@@ -1,6 +1,10 @@
 package pattern
 
-import "repro/internal/dataset"
+import (
+	"math/bits"
+
+	"repro/internal/dataset"
+)
 
 // Counts holds the per-region statistics of Def. 3: the region size and
 // the number of positive instances.
@@ -53,10 +57,27 @@ func (sp *Space) CountNode(d *dataset.Dataset, mask uint32) Table {
 
 // CountAll computes the counts of every non-empty region in the whole
 // hierarchy in one pass: for each row, all 2^dim masked projections are
-// incremented. Regions with zero instances are simply absent. See
-// CountAllParallel for the sharded variant.
+// incremented. Regions with zero instances are simply absent.
 func (sp *Space) CountAll(d *dataset.Dataset) Table {
-	return sp.countRange(d, 0, d.Len())
+	dim := sp.Dim()
+	t := make(Table, sp.NumRegions()/2)
+	contrib := make([]uint64, dim)
+	for i, row := range d.Rows {
+		for s := 0; s < dim; s++ {
+			contrib[s] = uint64(row[sp.AttrIdx[s]]+1) << uint(5*s)
+		}
+		pos := d.Labels[i] == 1
+		for m := 0; m < 1<<uint(dim); m++ {
+			var k uint64
+			for mm := m; mm != 0; mm &= mm - 1 {
+				k |= contrib[bits.TrailingZeros(uint(mm))]
+			}
+			c := t[k]
+			c.Add(pos)
+			t[k] = c
+		}
+	}
+	return t
 }
 
 // Totals returns the level-0 counts (the entire dataset).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -130,8 +131,13 @@ func (s *Server) recoverInto(ctx context.Context, restoreJobs bool) error {
 		return nil
 	}
 
+	// Restore in job-ID order, the order a live engine lists and queues
+	// jobs in. Journal order can differ: racing submissions journal
+	// after the engine lock that numbered them is released.
+	jobs := append([]*durable.JobRecord(nil), tbl.Jobs...)
+	sort.SliceStable(jobs, func(a, b int) bool { return jobIDLess(jobs[a].ID, jobs[b].ID) })
 	requeued := 0
-	for _, rec := range tbl.Jobs {
+	for _, rec := range jobs {
 		if _, err := s.engine.Job(rec.ID); err == nil {
 			continue // already restored by an earlier recovery pass
 		}
@@ -148,6 +154,16 @@ func (s *Server) recoverInto(ctx context.Context, restoreJobs bool) error {
 	s.logger.Info("recovery complete",
 		"datasets", s.registry.Len(), "jobs", len(tbl.Jobs), "requeued", requeued)
 	return nil
+}
+
+// jobIDLess orders job IDs by the sequence number that minted them:
+// "job-%06d" IDs are zero-padded, so a shorter ID has the smaller
+// number and equal lengths compare as strings.
+func jobIDLess(a, b string) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	return a < b
 }
 
 // restoreDatasets re-admits every committed spilled dataset under its

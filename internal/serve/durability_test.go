@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -138,6 +140,85 @@ func TestDurableRestartRecoversDatasetsAndHistory(t *testing.T) {
 	}
 	if st2.ID != st.ID {
 		t.Fatalf("idempotent resubmit created %s, want the recovered %s", st2.ID, st.ID)
+	}
+}
+
+// TestRecoveredListKeepsIDOrder races two submissions so that the
+// second job's admission reaches the journal before the first's, then
+// restarts on the same data dir: the recovered GET /jobs must list the
+// jobs in the live server's ID order, not in journal order.
+func TestRecoveredListKeepsIDOrder(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	c, stop := newDurableServer(t, dir, Config{Workers: 1, QueueDepth: 8})
+	info := uploadCompas(t, c, 500, 3)
+
+	// Hold job-000001's admission record until job-000002 has been
+	// acknowledged, which journals job-000002 first.
+	second := make(chan struct{})
+	faults.Set(faults.JournalAppend, func(arg any) error {
+		if rec, ok := arg.(durable.Record); ok && rec.Type == durable.RecSubmit && rec.JobID == "job-000001" {
+			select {
+			case <-second:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return nil
+	})
+	t.Cleanup(func() { faults.Clear(faults.JournalAppend) })
+	var wg sync.WaitGroup
+	ids := make([]string, 2)
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, err := c.SubmitJob(ctx, JobRequest{Kind: "identify", DatasetID: info.ID, TauC: 0.1 * float64(i+1), MinSize: 20})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = st.ID
+			if st.ID == "job-000002" {
+				close(second)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, id := range ids {
+		if st, err := c.Wait(ctx, id, 5*time.Millisecond); err != nil || st.State != StateDone {
+			t.Fatalf("job %s: %+v, %v", id, st, err)
+		}
+	}
+	var submits []string
+	for _, rec := range journalRecords(t, dir) {
+		if rec.Type == durable.RecSubmit {
+			submits = append(submits, rec.JobID)
+		}
+	}
+	if len(submits) != 2 || submits[0] != "job-000002" {
+		t.Fatalf("journaled submissions %v, want job-000002 first", submits)
+	}
+
+	listIDs := func(c *Client) []string {
+		t.Helper()
+		var jobs []JobStatus
+		if err := c.DoJSON(ctx, http.MethodGet, "/jobs", nil, &jobs); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(jobs))
+		for i, j := range jobs {
+			out[i] = j.ID
+		}
+		return out
+	}
+	live := listIDs(c)
+	stop()
+	c2, _ := newDurableServer(t, dir, Config{Workers: 1, QueueDepth: 8})
+	if got := listIDs(c2); !reflect.DeepEqual(got, live) {
+		t.Fatalf("recovered GET /jobs lists %v, live listed %v", got, live)
 	}
 }
 
