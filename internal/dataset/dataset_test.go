@@ -3,6 +3,8 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -338,18 +340,61 @@ func TestEncodingLayout(t *testing.T) {
 }
 
 func TestEncodeMatrix(t *testing.T) {
-	d := testData(t, 30, 29)
+	// 1,000 rows of width 6 span two 4,096-cell blocks.
+	d := testData(t, 1000, 29)
 	e := NewEncoding(d.Schema)
 	x, y, w := e.Encode(d)
-	if len(x) != 30 || len(y) != 30 || len(w) != 30 {
+	if len(x) != 1000 || len(y) != 1000 || len(w) != 1000 {
 		t.Fatal("encode sizes")
 	}
 	for i := range x {
-		if len(x[i]) != e.Width() {
-			t.Fatalf("row %d width %d", i, len(x[i]))
+		if len(x[i]) != e.Width() || cap(x[i]) != e.Width() {
+			t.Fatalf("row %d len %d cap %d, want %d", i, len(x[i]), cap(x[i]), e.Width())
 		}
 		if y[i] != float64(d.Labels[i]) || w[i] != 1 {
 			t.Fatalf("labels/weights mismatch at %d", i)
+		}
+		if want := e.EncodeRow(d.Rows[i], nil); !slices.Equal(x[i], want) {
+			t.Fatalf("row %d = %v, want %v", i, x[i], want)
+		}
+	}
+	// Rows share backing blocks but are capped: appending to one must
+	// not write into the next.
+	next := slices.Clone(x[1])
+	_ = append(x[0], 42)
+	if !slices.Equal(x[1], next) {
+		t.Fatalf("after appending to row 0, row 1 = %v, want %v", x[1], next)
+	}
+}
+
+// A row wider than a 4,096-cell block (here one unordered attribute of
+// cardinality 5,000, as an ID column would give) still encodes.
+func TestEncodeMatrixWiderThanBlock(t *testing.T) {
+	ids := make([]string, 5000)
+	for i := range ids {
+		ids[i] = strconv.Itoa(i)
+	}
+	s := &Schema{Target: "label", Attrs: []Attr{
+		{Name: "id", Values: ids},
+		{Name: "sex", Values: []string{"male", "female"}, Protected: true},
+	}}
+	d := New(s)
+	for i, v := range []int32{0, 4999, 17} {
+		if err := d.Append([]int32{v, int32(i % 2)}, int8(i%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEncoding(s)
+	if e.Width() <= 4096 {
+		t.Fatalf("width %d, want > 4096", e.Width())
+	}
+	x, _, _ := e.Encode(d)
+	for i := range x {
+		if len(x[i]) != e.Width() || cap(x[i]) != e.Width() {
+			t.Fatalf("row %d len %d cap %d, want %d", i, len(x[i]), cap(x[i]), e.Width())
+		}
+		if !slices.Equal(x[i], e.EncodeRow(d.Rows[i], nil)) {
+			t.Fatalf("row %d differs from EncodeRow", i)
 		}
 	}
 }

@@ -80,12 +80,27 @@ func (e *Encoding) EncodeRow(row []int32, dst []float64) []float64 {
 
 // Encode materializes the full feature matrix and label/weight vectors
 // of d. Labels are float 0/1 for the numeric learners.
+//
+// Rows are cut from shared blocks of at most 32 KiB, Go's largest small
+// object: one allocation per ~110 Adult rows, with neighbouring rows
+// adjacent in memory. A row wider than a block gets a block of its own.
+// Each row is capped at Width, so appending to one reallocates it
+// instead of overwriting the next. (One array for the whole matrix
+// would be a large object; allocated afresh per training run, those
+// fragment the heap, and on the remedy-train benchmark one raised peak
+// RSS by ~23 MiB.)
 func (e *Encoding) Encode(d *Dataset) (x [][]float64, y []float64, w []float64) {
 	x = make([][]float64, d.Len())
 	y = make([]float64, d.Len())
 	w = make([]float64, d.Len())
+	perBlock := max(4096/max(e.width, 1), 1)
+	var block []float64
 	for i := range d.Rows {
-		x[i] = e.EncodeRow(d.Rows[i], nil)
+		if len(block) == 0 {
+			block = make([]float64, min(perBlock, d.Len()-i)*e.width)
+		}
+		x[i] = e.EncodeRow(d.Rows[i], block[:e.width:e.width])
+		block = block[e.width:]
 		y[i] = float64(d.Labels[i])
 		w[i] = d.Weight(i)
 	}

@@ -66,15 +66,20 @@ func (f *RandomForest) FitCtx(ctx context.Context, x [][]float64, y []float64, w
 	if w != nil {
 		sampler = stats.NewWeightedSampler(w)
 	}
+	// A bootstrap holds a subset of x's rows, so x's feature values
+	// serve every tree; values a bootstrap lacks are empty bins.
+	vals := distinctValues(x)
 	f.trees = make([]*DecisionTree, f.Params.Trees)
+	// A fitted tree keeps no reference to its training rows, so every
+	// bootstrap reuses one pair of buffers.
+	bx := make([][]float64, n)
+	by := make([]float64, n)
 	for t := range f.trees {
 		if err := epochTick(ctx, t); err != nil {
 			f.trees = nil // half an ensemble is a silently different model
 			return err
 		}
 		// Weighted bootstrap.
-		bx := make([][]float64, n)
-		by := make([]float64, n)
 		for i := 0; i < n; i++ {
 			var j int
 			if sampler == nil {
@@ -91,7 +96,7 @@ func (f *RandomForest) FitCtx(ctx context.Context, x [][]float64, y []float64, w
 			MinLeafWeight: f.Params.MinLeafWeight,
 			Seed:          rng.Int63(),
 		})
-		if err := tree.FitCtx(ctx, bx, by, nil); err != nil {
+		if err := tree.fit(ctx, bx, by, nil, vals); err != nil {
 			f.trees = nil
 			return err
 		}

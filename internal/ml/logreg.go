@@ -50,6 +50,7 @@ func (l *LogisticRegression) Fit(x [][]float64, y []float64, w []float64) error 
 
 // FitCtx is Fit with a per-epoch cancellation check; on cancellation
 // the partially descended weights remain and ctx.Err() is returned.
+// Each epoch visits only a row's non-zero columns.
 func (l *LogisticRegression) FitCtx(ctx context.Context, x [][]float64, y []float64, w []float64) error {
 	if err := checkTrainingInput(x, y, w); err != nil {
 		return err
@@ -57,6 +58,7 @@ func (l *LogisticRegression) FitCtx(ctx context.Context, x [][]float64, y []floa
 	if w == nil {
 		w = ones(len(x))
 	}
+	nz := newNonZeros(x)
 	nf := len(x[0])
 	l.Weights = make([]float64, nf)
 	l.Bias = 0
@@ -77,13 +79,11 @@ func (l *LogisticRegression) FitCtx(ctx context.Context, x [][]float64, y []floa
 			grad[i] = 0
 		}
 		var gradB float64
-		for i := range x {
-			p := l.PredictProba(x[i])
-			e := w[i] * (p - y[i])
-			for j, xv := range x[i] {
-				if xv != 0 {
-					grad[j] += e * xv
-				}
+		for i, xi := range x {
+			cols := nz.row(i)
+			e := w[i] * (l.prob(xi, cols) - y[i])
+			for _, c := range cols {
+				grad[c] += e * xi[c]
 			}
 			gradB += e
 		}
@@ -98,9 +98,20 @@ func (l *LogisticRegression) FitCtx(ctx context.Context, x [][]float64, y []floa
 
 // PredictProba applies the logistic link to the linear score.
 func (l *LogisticRegression) PredictProba(x []float64) float64 {
+	var buf [64]int32
+	return l.prob(x, appendNonZeros(buf[:0], x[:len(l.Weights)]))
+}
+
+// prob is the logistic link of the linear score summed over cols, the
+// ascending non-zero columns of x. Training and prediction both score
+// through it. It has the bits of a dense sum over every column: a
+// skipped column adds w_j·0 = ±0, which leaves a non-zero partial sum
+// unchanged and a zero one zero, and exp(±0) is the same for either
+// sign.
+func (l *LogisticRegression) prob(x []float64, cols []int32) float64 {
 	z := l.Bias
-	for j, wj := range l.Weights {
-		z += wj * x[j]
+	for _, c := range cols {
+		z += l.Weights[c] * x[c]
 	}
 	return 1 / (1 + math.Exp(-z))
 }

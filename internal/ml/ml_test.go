@@ -70,6 +70,17 @@ func TestCheckTrainingInput(t *testing.T) {
 	if err := checkTrainingInput(x, []float64{1, 0}, []float64{1, -2}); err == nil {
 		t.Fatal("negative weight must error")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := checkTrainingInput([][]float64{{1, 0}, {v, 2}}, []float64{1, 0}, nil); err == nil {
+			t.Fatalf("feature %v must error", v)
+		}
+		if err := checkTrainingInput(x, []float64{1, 0}, []float64{1, v}); err == nil {
+			t.Fatalf("weight %v must error", v)
+		}
+	}
+	if err := checkTrainingInput(x, []float64{1, 0}, []float64{0, math.MaxFloat64}); err != nil {
+		t.Fatalf("zero and huge finite weights are valid: %v", err)
+	}
 	if err := checkTrainingInput(x, []float64{1, 0}, []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -88,6 +88,10 @@ func (n *NeuralNetwork) FitCtx(ctx context.Context, x [][]float64, y []float64, 
 	}
 	n.b2 = 0
 
+	// The forward and backward passes visit a row's non-zero columns in
+	// ascending order, the same terms in the same order as skipping the
+	// zeros of the dense row.
+	nz := newNonZeros(x)
 	idx := make([]int, len(x))
 	for i := range idx {
 		idx[i] = i
@@ -114,14 +118,13 @@ func (n *NeuralNetwork) FitCtx(ctx context.Context, x [][]float64, y []float64, 
 			}
 			step := lr / batchW
 			for _, i := range idx[start:end] {
-				xi := x[i]
+				xi, cols := x[i], nz.row(i)
 				// Forward.
 				for hh := 0; hh < h; hh++ {
+					w1 := n.w1[hh]
 					z := n.b1[hh]
-					for j, v := range xi {
-						if v != 0 {
-							z += n.w1[hh][j] * v
-						}
+					for _, c := range cols {
+						z += w1[c] * xi[c]
 					}
 					if z < 0 {
 						z = 0
@@ -140,10 +143,9 @@ func (n *NeuralNetwork) FitCtx(ctx context.Context, x [][]float64, y []float64, 
 					d1 := d2 * n.w2[hh]
 					n.w2[hh] -= step * (gw2 + n.Params.L2*n.w2[hh])
 					if hidden[hh] > 0 { // ReLU gate
-						for j, v := range xi {
-							if v != 0 {
-								n.w1[hh][j] -= step * (d1*v + n.Params.L2*n.w1[hh][j])
-							}
+						w1 := n.w1[hh]
+						for _, c := range cols {
+							w1[c] -= step * (d1*xi[c] + n.Params.L2*w1[c])
 						}
 						n.b1[hh] -= step * d1
 					}

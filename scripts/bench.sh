@@ -1,8 +1,10 @@
 #!/bin/sh
 # bench.sh — run the root benchmark suite (bench_test.go: every paper
 # figure in quick mode plus the identify/remedy micro-benchmarks) and
-# write the machine-readable BENCH_*.json artifact that tracks the
-# repo's perf trajectory across PRs.
+# the layer benchmarks of internal/ml (one fit per model) and
+# internal/core (preload and optimized identify), and write the
+# machine-readable BENCH_*.json artifact that tracks the repo's perf
+# trajectory across PRs. Each row records its package.
 #
 # Usage:
 #   scripts/bench.sh BENCH_8.json           # default -benchtime 5x
@@ -26,7 +28,8 @@ out="${1:-BENCH_dev.json}"
 benchtime="${BENCHTIME:-5x}"
 
 echo "== go test -bench . -benchtime $benchtime (writing $out)"
-go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count 1 . \
+go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count 1 \
+    . ./internal/ml/ ./internal/core/ \
     | tee /dev/stderr \
     | go run scripts/benchjson.go > "$out"
 echo "== wrote $out"

@@ -2,9 +2,9 @@
 
 // benchjson converts `go test -bench` output on stdin into the
 // committed BENCH_*.json artifact format: one object per benchmark
-// with every reported metric (ns/op, B/op, allocs/op, and custom
-// b.ReportMetric series like nodes_visited/op), plus the run's
-// environment header. Run via scripts/bench.sh.
+// with its package and every reported metric (ns/op, B/op, allocs/op,
+// and custom b.ReportMetric series like nodes_visited/op), plus the
+// run's environment header. Run via scripts/bench.sh.
 package main
 
 import (
@@ -18,6 +18,7 @@ import (
 
 type benchmark struct {
 	Name       string             `json:"name"`
+	Pkg        string             `json:"pkg,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -25,13 +26,14 @@ type benchmark struct {
 type report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []benchmark `json:"benchmarks"`
 }
 
 func main() {
 	rep := report{Benchmarks: []benchmark{}}
+	// go test prints a "pkg:" header before each package's rows.
+	var pkg string
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -42,7 +44,7 @@ func main() {
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
@@ -56,6 +58,7 @@ func main() {
 			}
 			b := benchmark{
 				Name:       strings.SplitN(fields[0], "-", 2)[0],
+				Pkg:        pkg,
 				Iterations: iters,
 				Metrics:    map[string]float64{},
 			}
