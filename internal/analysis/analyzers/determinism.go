@@ -19,16 +19,19 @@ import (
 //     import with //lint:allow determinism and a justification.
 //   - package-level math/rand functions and time.Now: ambient
 //     process-global entropy and wall-clock reads.
-//   - emitting output while ranging over a map: Go map iteration order
-//     is deliberately randomized, so any print/write inside such a
-//     loop produces run-dependent output; sort the keys first.
+//   - emitting output or drawing randomness while ranging over a map:
+//     Go map iteration order is deliberately randomized, so a
+//     print/write inside such a loop produces run-dependent output,
+//     and a *rand.Rand used there (a method call, or passed as an
+//     argument) hands each key a run-dependent draw; sort the keys
+//     first.
 //
 // internal/stats (the sanctioned RNG home) and internal/obs (the
 // observability layer, whose entire job is reading the wall clock) are
 // exempt by construction.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "forbids math/rand, time.Now, and map-iteration-ordered output in " +
+	Doc: "forbids math/rand, time.Now, and map-iteration-ordered output or RNG draws in " +
 		"library packages outside internal/stats and internal/obs; sampling " +
 		"goes through seeded RNGs from internal/stats",
 	AppliesTo: func(path string) bool {
@@ -90,8 +93,8 @@ func runDeterminism(pass *analysis.Pass) {
 	}
 }
 
-// checkMapRangeOutput flags print/write calls whose output order is
-// dictated by map iteration.
+// checkMapRangeOutput flags print/write calls and *rand.Rand uses
+// whose order is dictated by map iteration.
 func checkMapRangeOutput(pass *analysis.Pass, rng *ast.RangeStmt) {
 	tv, ok := pass.Pkg.TypesInfo.Types[rng.X]
 	if !ok {
@@ -109,8 +112,29 @@ func checkMapRangeOutput(pass *analysis.Pass, rng *ast.RangeStmt) {
 			pass.Report(call.Pos(),
 				"call to "+name+" inside range over map emits output in nondeterministic order; collect and sort the keys first")
 		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isRandRand(pass, sel.X) {
+			pass.Report(call.Pos(),
+				"draw from *rand.Rand inside range over map consumes the RNG in nondeterministic order; collect and sort the keys first")
+		}
+		for _, arg := range call.Args {
+			if isRandRand(pass, arg) {
+				pass.Report(arg.Pos(),
+					"*rand.Rand passed to a call inside range over map is consumed in nondeterministic order; collect and sort the keys first")
+			}
+		}
 		return true
 	})
+}
+
+// isRandRand reports whether e is a *rand.Rand of math/rand or
+// math/rand/v2.
+func isRandRand(pass *analysis.Pass, e ast.Expr) bool {
+	tv, ok := pass.Pkg.TypesInfo.Types[e]
+	if !ok {
+		return false
+	}
+	t := types.TypeString(tv.Type, nil)
+	return t == "*math/rand.Rand" || t == "*math/rand/v2.Rand"
 }
 
 // outputCallName reports whether call emits ordered output: the fmt

@@ -44,3 +44,23 @@ func ordered(m map[string]int) {
 		fmt.Println(k, m[k])
 	}
 }
+
+// oversample is shaped like a per-cell oversampler: every draw inside
+// the map range lands on a different cell from run to run.
+func oversample(r *rand.Rand, byCell map[int][]int) []int {
+	var out []int
+	for _, cell := range byCell {
+		for add := 0; add < 2; add++ {
+			seed := cell[r.Intn(len(cell))]        // want "draw from *rand.Rand"
+			out = append(out, pick(cell, seed, r)) // want "*rand.Rand passed to a call"
+		}
+	}
+	return out
+}
+
+func pick(cell []int, seed int, r interface{ Intn(int) int }) int {
+	if len(cell) == 1 {
+		return seed
+	}
+	return cell[r.Intn(len(cell))]
+}

@@ -20,6 +20,8 @@
 package baselines
 
 import (
+	"sort"
+
 	"repro/internal/dataset"
 	"repro/internal/pattern"
 )
@@ -35,19 +37,31 @@ type Preprocessor interface {
 	Apply(d *dataset.Dataset) (*dataset.Dataset, error)
 }
 
+// leafCell is one leaf subgroup: its pattern key and the indices of
+// its instances.
+type leafCell struct {
+	key  uint64
+	rows []int
+}
+
 // leafCells groups instance indices by their full protected-attribute
-// assignment (the leaf subgroups), keyed by pattern key. The shared
+// assignment (the leaf subgroups), in leaf-key order so that callers
+// drawing from an RNG cell by cell repeat under one seed. The shared
 // substrate of the reweighting-family baselines.
-func leafCells(d *dataset.Dataset, sp *pattern.Space) map[uint64][]int {
-	dim := sp.Dim()
-	cells := make(map[uint64][]int)
+func leafCells(d *dataset.Dataset, sp *pattern.Space) []leafCell {
+	byKey := make(map[uint64][]int)
 	for i, row := range d.Rows {
 		var k uint64
-		for s := 0; s < dim; s++ {
-			k |= uint64(row[sp.AttrIdx[s]]+1) << uint(5*s)
+		for s, a := range sp.AttrIdx {
+			k |= uint64(row[a]+1) << uint(5*s)
 		}
-		cells[k] = append(cells[k], i)
+		byKey[k] = append(byKey[k], i)
 	}
+	cells := make([]leafCell, 0, len(byKey))
+	for k, rows := range byKey {
+		cells = append(cells, leafCell{k, rows})
+	}
+	sort.Slice(cells, func(i, j int) bool { return cells[i].key < cells[j].key })
 	return cells
 }
 

@@ -2,6 +2,9 @@ package baselines
 
 import (
 	"math"
+	"math/bits"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -52,12 +55,12 @@ func cellWeightShares(t *testing.T, d *dataset.Dataset) map[string][2]float64 {
 		t.Fatal(err)
 	}
 	out := map[string][2]float64{}
-	for k, idx := range leafCells(d, sp) {
+	for _, cell := range leafCells(d, sp) {
 		var byClass [2]float64
-		for _, i := range idx {
+		for _, i := range cell.rows {
 			byClass[d.Labels[i]] += d.Weight(i)
 		}
-		out[sp.String(sp.DecodeKey(k))] = byClass
+		out[sp.String(sp.DecodeKey(cell.key))] = byClass
 	}
 	return out
 }
@@ -84,13 +87,13 @@ func TestReweightingEqualizesClassDistribution(t *testing.T) {
 	}
 	// Weight mass per subgroup stays equal to the subgroup size.
 	sp, _ := pattern.NewSpace(d.Schema)
-	for k, idx := range leafCells(out, sp) {
+	for _, cell := range leafCells(out, sp) {
 		var mass float64
-		for _, i := range idx {
+		for _, i := range cell.rows {
 			mass += out.Weight(i)
 		}
-		if math.Abs(mass-float64(len(idx))) > 1e-6 {
-			t.Fatalf("cell %s mass %v != size %d", sp.String(sp.DecodeKey(k)), mass, len(idx))
+		if math.Abs(mass-float64(len(cell.rows))) > 1e-6 {
+			t.Fatalf("cell %s mass %v != size %d", sp.String(sp.DecodeKey(cell.key)), mass, len(cell.rows))
 		}
 	}
 }
@@ -153,27 +156,66 @@ func TestCoverageMUPs(t *testing.T) {
 		}
 		d.Append(row, int8(r.Intn(2)))
 	}
-	cov := Coverage{Threshold: 50, Seed: 1}
-	mups, err := cov.MUPs(d)
-	if err != nil {
+	// A lattice too wide for a dense cube: Fig. 9's 8 protected
+	// attributes over 200 rows.
+	wide := synth.AdultN(200, 6)
+	if err := wide.Schema.SetProtected(synth.AdultScalabilityProtected...); err != nil {
 		t.Fatal(err)
 	}
-	sp, _ := pattern.NewSpace(d.Schema)
-	found := false
-	for _, p := range mups {
-		if sp.String(p) == "(race=B, sex=F)" {
-			found = true
-		}
-		// Maximality: all parents covered.
-		table := sp.CountAll(d)
-		sp.Parents(p, func(q pattern.Pattern) {
-			if q.Level() > 0 && table[sp.Key(q)].N < 50 {
-				t.Fatalf("MUP %s has uncovered parent %s", sp.String(p), sp.String(q))
+	for _, in := range []struct {
+		name  string
+		d     *dataset.Dataset
+		cov   Coverage
+		dense bool
+	}{
+		{"two-attr", d, Coverage{Threshold: 50}, true},
+		{"adult", synth.AdultN(3000, 5), Coverage{Threshold: 40}, true},
+		{"wide", wide, Coverage{Threshold: 6}, false},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			sp, err := pattern.NewSpace(in.d.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sp.CubeFits(in.d.Len(), 2); got != in.dense {
+				t.Fatalf("CubeFits = %v, want %v", got, in.dense)
+			}
+			mups, err := in.cov.MUPs(in.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Brute force: the level-1..2 patterns below the threshold
+			// whose non-root parents all reach it, in level then key
+			// order (Masks is level-ordered).
+			uncovered := func(p pattern.Pattern) bool {
+				return p.Level() > 0 && sp.CountPattern(in.d, p).N < in.cov.Threshold
+			}
+			var want []pattern.Pattern
+			for _, m := range sp.Masks() {
+				if l := bits.OnesCount32(m); l == 0 || l > 2 {
+					continue
+				}
+				sp.EnumerateNode(m, func(p pattern.Pattern) {
+					maximal := uncovered(p)
+					sp.Parents(p, func(q pattern.Pattern) { maximal = maximal && !uncovered(q) })
+					if maximal {
+						want = append(want, p.Clone())
+					}
+				})
+			}
+			sort.SliceStable(want, func(i, j int) bool {
+				return want[i].Level() < want[j].Level() ||
+					want[i].Level() == want[j].Level() && sp.Key(want[i]) < sp.Key(want[j])
+			})
+			if len(want) == 0 || !reflect.DeepEqual(mups, want) {
+				t.Fatalf("MUPs %v, brute force %v", mups, want)
 			}
 		})
 	}
-	if !found {
-		t.Fatalf("(race=B, sex=F) should be a MUP; got %d MUPs", len(mups))
+	mups, _ := Coverage{Threshold: 50}.MUPs(d)
+	sp, _ := pattern.NewSpace(d.Schema)
+	if bf, _ := sp.Parse("race", "B", "sex", "F"); len(mups) == 0 || !mups[len(mups)-1].Equal(bf) {
+		t.Fatalf("(race=B, sex=F) should be the deepest MUP; got %v", mups)
 	}
 }
 
@@ -215,18 +257,30 @@ func TestFairSMOTEBalancesCells(t *testing.T) {
 		t.Fatal("Fair-SMOTE should add synthetic rows")
 	}
 	sp, _ := pattern.NewSpace(out.Schema)
-	for k, idx := range leafCells(out, sp) {
-		pos, neg := splitByLabel(out, idx)
+	for _, cell := range leafCells(out, sp) {
+		pos, neg := splitByLabel(out, cell.rows)
 		if len(pos) == 0 || len(neg) == 0 {
 			continue
 		}
 		if len(pos) != len(neg) {
 			t.Fatalf("cell %s: %d pos vs %d neg after Fair-SMOTE",
-				sp.String(sp.DecodeKey(k)), len(pos), len(neg))
+				sp.String(sp.DecodeKey(cell.key)), len(pos), len(neg))
 		}
 	}
 	if err := out.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFairSMOTEDeterministic runs Apply repeatedly under one seed: the
+// RNG draws cell by cell, so the cells must come in a fixed order.
+func TestFairSMOTEDeterministic(t *testing.T) {
+	d := synth.AdultN(3000, 7)
+	first, _ := FairSMOTE{Seed: 1}.Apply(d)
+	for run := 1; run < 5; run++ {
+		if out, _ := (FairSMOTE{Seed: 1}).Apply(d); !reflect.DeepEqual(out, first) {
+			t.Fatalf("run %d: Fair-SMOTE output differs from run 0 under the same seed", run)
+		}
 	}
 }
 
@@ -241,8 +295,8 @@ func TestFairSMOTESyntheticRowsStayInCell(t *testing.T) {
 	// parents share them).
 	sp, _ := pattern.NewSpace(d.Schema)
 	real := map[uint64]bool{}
-	for k := range leafCells(d, sp) {
-		real[k] = true
+	for _, cell := range leafCells(d, sp) {
+		real[cell.key] = true
 	}
 	for i := d.Len(); i < out.Len(); i++ {
 		var k uint64

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/dataset"
@@ -49,21 +50,20 @@ func (c Coverage) MUPs(d *dataset.Dataset) ([]pattern.Pattern, error) {
 	if maxLevel <= 0 {
 		maxLevel = 2
 	}
-	table := sp.CountAll(d)
+	lat := sp.CountAll(d, d.Labels, 2)
 	var mups []pattern.Pattern
 	for _, mask := range sp.Masks() {
+		if l := bits.OnesCount32(mask); l == 0 || l > maxLevel {
+			continue
+		}
 		sp.EnumerateNode(mask, func(p pattern.Pattern) {
-			l := p.Level()
-			if l == 0 || l > maxLevel {
-				return
-			}
-			if table[sp.Key(p)].N >= threshold {
+			if lat.Size(p) >= threshold {
 				return
 			}
 			// Maximality: every parent must be covered.
 			maximal := true
 			sp.Parents(p, func(q pattern.Pattern) {
-				if q.Level() > 0 && table[sp.Key(q)].N < threshold {
+				if q.Level() > 0 && lat.Size(q) < threshold {
 					maximal = false
 				}
 			})

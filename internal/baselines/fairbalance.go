@@ -33,9 +33,9 @@ func (FairBalance) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 	}
 	out := d.Clone()
 	out.EnsureWeights()
-	for _, idx := range leafCells(d, sp) {
-		pos, neg := splitByLabel(d, idx)
-		g := float64(len(idx))
+	for _, cell := range leafCells(d, sp) {
+		pos, neg := splitByLabel(d, cell.rows)
+		g := float64(len(cell.rows))
 		for _, members := range [][]int{neg, pos} {
 			if len(members) == 0 {
 				continue

@@ -46,8 +46,8 @@ func (f FairSMOTE) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 	}
 	rng := stats.NewRNG(f.Seed)
 	out := d.Clone()
-	for _, idx := range leafCells(d, sp) {
-		pos, neg := splitByLabel(d, idx)
+	for _, leaf := range leafCells(d, sp) {
+		pos, neg := splitByLabel(d, leaf.rows)
 		target := len(pos)
 		if len(neg) > target {
 			target = len(neg)

@@ -281,7 +281,7 @@ func NewHierarchy(d *dataset.Dataset) (*Hierarchy, error) {
 func (h *Hierarchy) chooseBackend() backend {
 	if h.backend == undecided {
 		h.backend = sparse
-		if h.Space.CubeFits(h.Data.Len()) {
+		if h.Space.CubeFits(h.Data.Len(), 2) {
 			h.backend = dense
 		}
 	}
@@ -295,7 +295,7 @@ func (h *Hierarchy) isDense() bool {
 		return false
 	}
 	if h.cube == nil {
-		h.cube = h.Space.CountCube(h.Data)
+		h.cube = h.Space.CountCube(h.Data, h.Data.Labels, 2)
 	}
 	return true
 }
@@ -303,7 +303,7 @@ func (h *Hierarchy) isDense() bool {
 // count returns the counts of region p.
 func (h *Hierarchy) count(p pattern.Pattern) pattern.Counts {
 	if h.isDense() {
-		return h.cube.At(h.cube.Index(p))
+		return h.cube.LabelCounts(h.cube.Index(p))
 	}
 	return h.Node(p.Mask())[h.Space.Key(p)]
 }
@@ -411,7 +411,7 @@ func (h *Hierarchy) preloadCube(ctx context.Context) (err error) {
 			return fmt.Errorf("core: preload node %#x: %w", full, err)
 		}
 	}
-	h.cube = h.Space.CountCube(h.Data)
+	h.cube = h.Space.CountCube(h.Data, h.Data.Labels, 2)
 	return nil
 }
 
@@ -420,7 +420,13 @@ func (h *Hierarchy) preloadCube(ctx context.Context) (err error) {
 // the dense backend it is a fresh copy of the node's non-empty cells.
 func (h *Hierarchy) Node(mask uint32) pattern.Table {
 	if h.isDense() {
-		return h.cube.Node(mask)
+		t := make(pattern.Table)
+		h.Space.EnumerateNode(mask, func(p pattern.Pattern) {
+			if c := h.cube.LabelCounts(h.cube.Index(p)); c.N != 0 {
+				t[h.Space.Key(p)] = c
+			}
+		})
+		return t
 	}
 	if t, ok := h.tables[mask]; ok {
 		return t
@@ -488,7 +494,8 @@ func (h *Hierarchy) apply(row []int32, dn, dp int) {
 	h.totals.N += dn
 	h.totals.Pos += dp
 	if h.cube != nil {
-		h.cube.AddRow(row, dn, dp)
+		delta := [2]int32{int32(dn - dp), int32(dp)}
+		h.cube.AddRow(row, delta[:])
 	}
 	for mask, table := range h.tables {
 		k := h.rowKey(row, mask)

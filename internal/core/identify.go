@@ -513,7 +513,7 @@ func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, rc pattern.Counts, 
 		idx := h.cube.Index(p)
 		for i, v := range p {
 			if v != pattern.Wildcard {
-				add(h.cube.At(idx - int(v+1)*h.cube.Stride(i)))
+				add(h.cube.LabelCounts(idx - int(v+1)*h.cube.Stride(i)))
 			}
 		}
 	} else {

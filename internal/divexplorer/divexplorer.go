@@ -11,7 +11,6 @@ package divexplorer
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"repro/internal/dataset"
@@ -75,13 +74,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// confCell accumulates integer confusion counts per region.
-type confCell struct {
-	tp, fp, tn, fn int32
+// confClasses returns each row's confusion class 2·y + ŷ, so a
+// lattice counted with them holds every region's confusion matrix.
+func confClasses(d *dataset.Dataset, preds []int) []int8 {
+	classes := make([]int8, d.Len())
+	for i, y := range d.Labels {
+		classes[i] = 2 * y
+		if preds[i] == 1 {
+			classes[i]++
+		}
+	}
+	return classes
 }
 
-func (c confCell) conf() ml.Confusion {
-	return ml.Confusion{TP: float64(c.tp), FP: float64(c.fp), TN: float64(c.tn), FN: float64(c.fn)}
+// confusion converts a region's class counts, class 2·y + ŷ, to its
+// confusion matrix.
+func confusion(c []int32) ml.Confusion {
+	return ml.Confusion{TN: float64(c[0]), FP: float64(c[1]), FN: float64(c[2]), TP: float64(c[3])}
 }
 
 // Explore audits predictions preds over the (test) dataset d, mining
@@ -91,14 +100,13 @@ func Explore(d *dataset.Dataset, preds []int, stat fairness.Statistic, opts Opti
 	return ExploreCtx(context.Background(), d, preds, stat, opts)
 }
 
-// exploreCheckStride bounds how many rows (counting pass) or cells
-// (ranking pass) are processed between ctx polls.
+// exploreCheckStride bounds how many regions the ranking pass walks
+// between ctx polls.
 const exploreCheckStride = 1024
 
-// ExploreCtx is Explore under a context: the counting pass checks ctx
-// every exploreCheckStride rows and the ranking pass every
-// exploreCheckStride subgroups, returning ctx.Err() and no report once
-// cancelled.
+// ExploreCtx is Explore under a context: it checks ctx before counting
+// and every exploreCheckStride regions of the ranking pass, returning
+// ctx.Err() and no report once cancelled.
 func ExploreCtx(ctx context.Context, d *dataset.Dataset, preds []int, stat fairness.Statistic, opts Options) (*Report, error) {
 	if err := stat.Validate(); err != nil {
 		return nil, err
@@ -117,48 +125,13 @@ func ExploreCtx(ctx context.Context, d *dataset.Dataset, preds []int, stat fairn
 	ctx, span := obs.StartSpan(ctx, "divexplorer.explore")
 	span.SetStr("stat", string(stat))
 	defer span.End()
-
-	// One pass: accumulate confusion cells for all 2^dim projections of
-	// every row, exactly like pattern.CountAll.
-	dim := sp.Dim()
-	nMasks := 1 << uint(dim)
-	cells := make(map[uint64]confCell, 1024)
-	contrib := make([]uint64, dim)
-	for i, row := range d.Rows {
-		if i%exploreCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		for s := 0; s < dim; s++ {
-			contrib[s] = uint64(row[sp.AttrIdx[s]]+1) << uint(5*s)
-		}
-		y, p := int(d.Labels[i]), preds[i]
-		for m := 0; m < nMasks; m++ {
-			var k uint64
-			mm := m
-			for mm != 0 {
-				s := bits.TrailingZeros(uint(mm))
-				k |= contrib[s]
-				mm &^= 1 << uint(s)
-			}
-			c := cells[k]
-			switch {
-			case y == 1 && p == 1:
-				c.tp++
-			case y == 0 && p == 1:
-				c.fp++
-			case y == 0 && p == 0:
-				c.tn++
-			default:
-				c.fn++
-			}
-			cells[k] = c
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
-	rootKey := sp.Key(pattern.NewPattern(dim))
-	overall := cells[rootKey].conf()
+	lat := sp.CountAll(d, confClasses(d, preds), 4)
+
+	overall := confusion(lat.Counts(pattern.NewPattern(sp.Dim())))
 	rep := &Report{
 		Space:       sp,
 		Stat:        stat,
@@ -169,30 +142,27 @@ func ExploreCtx(ctx context.Context, d *dataset.Dataset, preds []int, stat fairn
 	totalBaseN, totalBaseK := stat.BaseCount(overall)
 
 	minN := int(opts.MinSupport * float64(d.Len()))
-	scanned := 0
-	for k, cell := range cells {
-		scanned++
-		if scanned%exploreCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	itemsets := 0
+	lat.Walk(func(p pattern.Pattern, c []int32) bool {
+		itemsets++
+		if itemsets%exploreCheckStride == 0 {
+			if err = ctx.Err(); err != nil {
+				return false
 			}
 		}
-		if k == rootKey {
-			continue
+		level := p.Level()
+		if level == 0 || (opts.MaxLevel > 0 && level > opts.MaxLevel) {
+			return true
 		}
-		conf := cell.conf()
-		n := int(cell.tp + cell.fp + cell.tn + cell.fn)
+		n := int(c[0] + c[1] + c[2] + c[3])
 		if n < minN {
-			continue
+			return true
 		}
-		p := sp.DecodeKey(k)
-		if opts.MaxLevel > 0 && p.Level() > opts.MaxLevel {
-			continue
-		}
+		conf := confusion(c)
 		value := stat.Of(conf)
 		baseN, baseK := stat.BaseCount(conf)
 		sg := Subgroup{
-			Pattern:    p,
+			Pattern:    p.Clone(),
 			N:          n,
 			Support:    float64(n) / float64(d.Len()),
 			Conf:       conf,
@@ -209,6 +179,10 @@ func ExploreCtx(ctx context.Context, d *dataset.Dataset, preds []int, stat fairn
 			sg.Significant = res.P < opts.Alpha
 		}
 		rep.Subgroups = append(rep.Subgroups, sg)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(rep.Subgroups, func(i, j int) bool {
 		a, b := rep.Subgroups[i], rep.Subgroups[j]
@@ -218,13 +192,13 @@ func ExploreCtx(ctx context.Context, d *dataset.Dataset, preds []int, stat fairn
 		return sp.Key(a.Pattern) < sp.Key(b.Pattern)
 	})
 	if m := obs.MetricsFrom(ctx); m != nil {
-		// itemsets counts the distinct populated cells the counting pass
-		// generated (every candidate subgroup, before the support
+		// itemsets counts the non-empty regions the walk visited, root
+		// included (every candidate subgroup, before the support
 		// filter); subgroups is what survived it.
-		m.Counter("divexplorer.itemsets").Add(int64(len(cells)))
+		m.Counter("divexplorer.itemsets").Add(int64(itemsets))
 		m.Counter("divexplorer.subgroups").Add(int64(len(rep.Subgroups)))
 	}
-	span.SetInt("itemsets", int64(len(cells)))
+	span.SetInt("itemsets", int64(itemsets))
 	span.SetInt("subgroups", int64(len(rep.Subgroups)))
 	return rep, nil
 }

@@ -1,12 +1,15 @@
 package divexplorer
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/fairness"
 	"repro/internal/ml"
+	"repro/internal/obs"
+	"repro/internal/pattern"
 	"repro/internal/stats"
 	"repro/internal/synth"
 )
@@ -77,25 +80,109 @@ func TestExploreFindsUnfairSubgroup(t *testing.T) {
 	}
 }
 
-func TestExploreSubgroupValuesMatchBruteForce(t *testing.T) {
-	d, preds := unfairPredictions(t)
-	rep, err := Explore(d, preds, fairness.FPR, Options{MinSupport: 0.05})
-	if err != nil {
+// adultData is a synthetic Adult sample over the given protected
+// attributes, with predictions that flip 20% of the labels.
+func adultData(t *testing.T, rows int, protected []string) (*dataset.Dataset, []int) {
+	t.Helper()
+	d := synth.AdultN(rows, 3)
+	if err := d.Schema.SetProtected(protected...); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range rep.Subgroups {
-		var c ml.Confusion
-		for i := range d.Rows {
-			if rep.Space.MatchRow(g.Pattern, d.Rows[i]) {
-				c.Observe(int(d.Labels[i]), preds[i], 1)
+	r := stats.NewRNG(4)
+	preds := make([]int, d.Len())
+	for i, y := range d.Labels {
+		if preds[i] = int(y); r.Float64() < 0.2 {
+			preds[i] = 1 - preds[i]
+		}
+	}
+	return d, preds
+}
+
+// TestExploreSubgroupValuesMatchBruteForce checks the mined subgroups,
+// their statistics and the itemsets counter against a dataset scan, on
+// the dense cube and on the hash table the lattice counter falls back
+// to for wide spaces. The brute-force candidates are the distinct row
+// projections: every non-empty region holds a row.
+func TestExploreSubgroupValuesMatchBruteForce(t *testing.T) {
+	two, twoPreds := unfairPredictions(t)
+	adult, adultPreds := adultData(t, 3000, synth.AdultProtected)
+	wide, widePreds := adultData(t, 200, synth.AdultScalabilityProtected)
+	for _, in := range []struct {
+		name  string
+		d     *dataset.Dataset
+		preds []int
+		opts  Options
+		dense bool
+	}{
+		{"two-attr", two, twoPreds, Options{MinSupport: 0.05}, true},
+		{"adult", adult, adultPreds, Options{}, true},
+		{"wide", wide, widePreds, Options{MaxLevel: 3}, false},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			d, preds, opts := in.d, in.preds, in.opts.withDefaults()
+			sp, err := pattern.NewSpace(d.Schema)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if math.Abs(c.FPR()-g.Value) > 1e-12 {
-			t.Fatalf("%s: FPR %v != %v", rep.Space.String(g.Pattern), g.Value, c.FPR())
-		}
-		if int(c.TP+c.FP+c.TN+c.FN) != g.N {
-			t.Fatalf("%s: N mismatch", rep.Space.String(g.Pattern))
-		}
+			if got := sp.CubeFits(d.Len(), 4); got != in.dense {
+				t.Fatalf("CubeFits = %v, want %v", got, in.dense)
+			}
+			reg := obs.NewRegistry()
+			rep, err := ExploreCtx(obs.WithMetrics(context.Background(), reg), d, preds, fairness.FPR, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan := func(p pattern.Pattern) (c ml.Confusion) {
+				for i := range d.Rows {
+					if sp.MatchRow(p, d.Rows[i]) {
+						c.Observe(int(d.Labels[i]), preds[i], 1)
+					}
+				}
+				return c
+			}
+			candidates := map[uint64]bool{}
+			for _, row := range d.Rows {
+				for m := 0; m < 1<<uint(sp.Dim()); m++ {
+					p := pattern.NewPattern(sp.Dim())
+					for s := range p {
+						if m&(1<<uint(s)) != 0 {
+							p[s] = int16(row[sp.AttrIdx[s]])
+						}
+					}
+					candidates[sp.Key(p)] = true
+				}
+			}
+			if got := reg.Counter("divexplorer.itemsets").Value(); got != int64(len(candidates)) {
+				t.Fatalf("itemsets = %d, want %d non-empty regions", got, len(candidates))
+			}
+			totalN, totalK := fairness.FPR.BaseCount(scan(pattern.NewPattern(sp.Dim())))
+			want := map[uint64]Subgroup{}
+			for k := range candidates {
+				p := sp.DecodeKey(k)
+				c := scan(p)
+				n := int(c.TP + c.FP + c.TN + c.FN)
+				if l := p.Level(); l == 0 || (opts.MaxLevel > 0 && l > opts.MaxLevel) ||
+					n < int(opts.MinSupport*float64(d.Len())) {
+					continue
+				}
+				g := Subgroup{N: n, Conf: c, Value: c.FPR()}
+				baseN, baseK := fairness.FPR.BaseCount(c)
+				if res, err := stats.WelchT(stats.BernoulliSummary(baseN, baseK),
+					stats.BernoulliSummary(totalN-baseN, totalK-baseK)); err == nil {
+					g.T, g.P = res.T, res.P
+				}
+				want[k] = g
+			}
+			if len(want) == 0 || len(rep.Subgroups) != len(want) {
+				t.Fatalf("mined %d subgroups, brute force finds %d", len(rep.Subgroups), len(want))
+			}
+			for _, g := range rep.Subgroups {
+				w, ok := want[sp.Key(g.Pattern)]
+				if !ok || g.N != w.N || g.Conf != w.Conf || math.Abs(g.Value-w.Value) > 1e-12 || g.T != w.T || g.P != w.P {
+					t.Fatalf("%s: mined %+v, brute force %+v (found %v)", sp.String(g.Pattern), g, w, ok)
+				}
+			}
+		})
 	}
 }
 
@@ -298,4 +385,25 @@ func TestExploreOnSyntheticCompas(t *testing.T) {
 	if rep.FairnessIndex(0.1) <= 0 {
 		t.Fatal("fairness index should be positive before remedy")
 	}
+}
+
+// BenchmarkExplore times one FPR audit of the remedy-train workload's
+// test side: a decision tree fit on the 70% stratified split of a
+// full-size (45,222-row) synthetic Adult, audited over the remaining
+// 13,567 rows (6 protected attributes, 10,800 regions).
+func BenchmarkExplore(b *testing.B) {
+	train, test := synth.AdultN(45222, 1).StratifiedSplit(0.7, 1)
+	m, err := ml.TrainKind(train, ml.DT, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	preds := m.Predict(test)
+	b.Run("adult", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Explore(test, preds, fairness.FPR, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

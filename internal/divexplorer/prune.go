@@ -1,6 +1,10 @@
 package divexplorer
 
-import "repro/internal/pattern"
+import (
+	"math"
+
+	"repro/internal/pattern"
+)
 
 // This file adds the report post-processing DivExplorer offers on top
 // of raw mining: redundancy pruning (a subgroup whose divergence is
@@ -42,48 +46,20 @@ func (r *Report) PruneRedundant(eps float64) []Subgroup {
 // ancestorExplains reports whether any mined strict ancestor of g has a
 // divergence within eps of g's.
 func (r *Report) ancestorExplains(g Subgroup, byKey map[uint64]Subgroup, eps float64) bool {
-	// Walk all strict generalizations of g's pattern (wildcard any
-	// non-empty subset of deterministic slots, excluding the root).
-	slots := make([]int, 0, len(g.Pattern))
-	for i, v := range g.Pattern {
-		if v != pattern.Wildcard {
-			slots = append(slots, i)
-		}
-	}
-	if len(slots) <= 1 {
-		return false // level-1 subgroups have no non-root ancestors
-	}
-	q := g.Pattern.Clone()
-	found := false
-	var walk func(k int, removed int)
-	walk = func(k int, removed int) {
-		if found {
-			return
-		}
-		if k == len(slots) {
-			if removed == 0 || removed == len(slots) {
-				return // g itself or the root
+	// Every non-empty proper subset of g's items is a strict ancestor
+	// other than the root.
+	mask := g.Pattern.Mask()
+	q := make(pattern.Pattern, len(g.Pattern))
+	for sub := (mask - 1) & mask; sub != 0; sub = (sub - 1) & mask {
+		for i, v := range g.Pattern {
+			q[i] = pattern.Wildcard
+			if sub&(1<<uint(i)) != 0 {
+				q[i] = v
 			}
-			if anc, ok := byKey[r.Space.Key(q)]; ok {
-				diff := g.Divergence - anc.Divergence
-				if diff < 0 {
-					diff = -diff
-				}
-				if diff <= eps {
-					found = true
-				}
-			}
-			return
 		}
-		// Keep slot k.
-		walk(k+1, removed)
-		// Or wildcard it.
-		s := slots[k]
-		orig := q[s]
-		q[s] = pattern.Wildcard
-		walk(k+1, removed+1)
-		q[s] = orig
+		if anc, ok := byKey[r.Space.Key(q)]; ok && math.Abs(g.Divergence-anc.Divergence) <= eps {
+			return true
+		}
 	}
-	walk(0, 0)
-	return found
+	return false
 }

@@ -48,43 +48,24 @@ func (r *Report) ShapleyAttribution(d *dataset.Dataset, preds []int, g Subgroup)
 		return nil, fmt.Errorf("divexplorer: %d items exceed the exact-Shapley limit", nItems)
 	}
 
-	// One pass: each row contributes its confusion cell to every item
-	// subset it fully matches.
+	// v(S) = divergence of the sub-pattern with g's values on the
+	// items of S; empty regions contribute 0.
+	lat := r.Space.CountAll(d, confClasses(d, preds), 4)
 	nSub := 1 << uint(nItems)
-	cells := make([]confCell, nSub)
-	for i, row := range d.Rows {
-		var matched int
-		for bit, s := range slots {
-			if row[r.Space.AttrIdx[s]] == int32(g.Pattern[s]) {
-				matched |= 1 << uint(bit)
-			}
-		}
-		y, p := int(d.Labels[i]), preds[i]
-		// Enumerate subsets of the matched mask.
-		for sub := matched; ; sub = (sub - 1) & matched {
-			switch {
-			case y == 1 && p == 1:
-				cells[sub].tp++
-			case y == 0 && p == 1:
-				cells[sub].fp++
-			case y == 0 && p == 0:
-				cells[sub].tn++
-			default:
-				cells[sub].fn++
-			}
-			if sub == 0 {
-				break
-			}
-		}
-	}
-
-	// v(S) = divergence of the sub-pattern; empty regions contribute 0.
 	v := make([]float64, nSub)
-	base := r.Stat.Of(cells[0].conf()) // S = ∅ is the whole dataset: γ_d
+	base := r.Stat.Of(confusion(lat.Counts(pattern.NewPattern(len(g.Pattern))))) // S = ∅: γ_d
+	q := make(pattern.Pattern, len(g.Pattern))
 	for s := 0; s < nSub; s++ {
-		c := cells[s].conf()
+		for i := range q {
+			q[i] = pattern.Wildcard
+		}
+		for bit, slot := range slots {
+			if s&(1<<uint(bit)) != 0 {
+				q[slot] = g.Pattern[slot]
+			}
+		}
+		c := confusion(lat.Counts(q))
 		if c.TP+c.FP+c.TN+c.FN == 0 {
-			v[s] = 0
 			continue
 		}
 		v[s] = fairness.Divergence(r.Stat.Of(c), base)

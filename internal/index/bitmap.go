@@ -51,15 +51,6 @@ func (b *Bitmap) And(other *Bitmap) {
 	}
 }
 
-// AndCount returns |b ∩ other| without materializing the intersection.
-func (b *Bitmap) AndCount(other *Bitmap) int {
-	c := 0
-	for i, w := range b.words {
-		c += bits.OnesCount64(w & other.words[i])
-	}
-	return c
-}
-
 // Iterate calls f with each set bit index in ascending order.
 func (b *Bitmap) Iterate(f func(i int)) {
 	for wi, w := range b.words {

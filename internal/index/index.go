@@ -12,8 +12,6 @@ type Index struct {
 	rows int
 	// perValue[a][v] marks the rows where attribute a takes value v.
 	perValue [][]*Bitmap
-	// positive marks the rows with label 1.
-	positive *Bitmap
 }
 
 // Build indexes the dataset.
@@ -21,7 +19,6 @@ func Build(d *dataset.Dataset) *Index {
 	ix := &Index{
 		rows:     d.Len(),
 		perValue: make([][]*Bitmap, len(d.Schema.Attrs)),
-		positive: NewBitmap(d.Len()),
 	}
 	for a := range d.Schema.Attrs {
 		ix.perValue[a] = make([]*Bitmap, d.Schema.Attrs[a].Cardinality())
@@ -32,9 +29,6 @@ func Build(d *dataset.Dataset) *Index {
 	for i, row := range d.Rows {
 		for a, v := range row {
 			ix.perValue[a][v].Set(i)
-		}
-		if d.Labels[i] == 1 {
-			ix.positive.Set(i)
 		}
 	}
 	return ix
@@ -67,13 +61,6 @@ func (ix *Index) Select(sp *pattern.Space, p pattern.Pattern) *Bitmap {
 		}
 	}
 	return out
-}
-
-// CountPattern returns the size and positive count of the region
-// matched by p — the bitmap equivalent of pattern.Space.CountPattern.
-func (ix *Index) CountPattern(sp *pattern.Space, p pattern.Pattern) pattern.Counts {
-	sel := ix.Select(sp, p)
-	return pattern.Counts{N: sel.Count(), Pos: sel.AndCount(ix.positive)}
 }
 
 // RowsIn returns the indices of rows matching p, ascending — the

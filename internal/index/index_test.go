@@ -40,13 +40,10 @@ func TestBitmapAndOps(t *testing.T) {
 	for i := 0; i < 100; i += 3 {
 		b.Set(i)
 	}
-	if got := a.AndCount(b); got != 17 { // multiples of 6 in [0, 100)
-		t.Fatalf("AndCount = %d, want 17", got)
-	}
 	c := NewBitmap(100)
 	c.CopyFrom(a)
 	c.And(b)
-	if c.Count() != 17 {
+	if c.Count() != 17 { // multiples of 6 in [0, 100)
 		t.Fatalf("And count = %d", c.Count())
 	}
 	// a unchanged.
@@ -108,8 +105,8 @@ func TestIndexMatchesScans(t *testing.T) {
 	}
 	for _, mask := range sp.Masks() {
 		sp.EnumerateNode(mask, func(p pattern.Pattern) {
-			if got, want := ix.CountPattern(sp, p), sp.CountPattern(d, p); got != want {
-				t.Fatalf("%s: index %+v scan %+v", sp.String(p), got, want)
+			if got, want := ix.Select(sp, p).Count(), sp.CountPattern(d, p).N; got != want {
+				t.Fatalf("%s: index selects %d rows, scan %d", sp.String(p), got, want)
 			}
 		})
 	}
@@ -138,31 +135,7 @@ func TestIndexAllWildcard(t *testing.T) {
 	d, sp := testData(t)
 	ix := Build(d)
 	root := pattern.NewPattern(sp.Dim())
-	c := ix.CountPattern(sp, root)
-	if c.N != d.Len() || c.Pos != d.PositiveCount() {
-		t.Fatalf("root counts %+v", c)
-	}
-}
-
-func BenchmarkCountPatternScan(b *testing.B) {
-	d := synth.CompasN(6172, 1)
-	sp, _ := pattern.NewSpace(d.Schema)
-	p, _ := sp.Parse("race", "Afr-Am", "sex", "Male")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.CountPattern(d, p)
-	}
-}
-
-func BenchmarkCountPatternBitmap(b *testing.B) {
-	d := synth.CompasN(6172, 1)
-	sp, _ := pattern.NewSpace(d.Schema)
-	ix := Build(d)
-	p, _ := sp.Parse("race", "Afr-Am", "sex", "Male")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.CountPattern(sp, p)
+	if n := ix.Select(sp, root).Count(); n != d.Len() {
+		t.Fatalf("root selects %d of %d rows", n, d.Len())
 	}
 }

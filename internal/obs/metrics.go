@@ -294,12 +294,15 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.hists {
 		hs := HistogramSnapshot{
-			Count:  h.Count(),
 			Sum:    h.Sum(),
 			Bounds: append([]float64(nil), h.bounds...),
 		}
+		// Count is the sum of the buckets as read, not the live counter,
+		// so a snapshot taken mid-Observe is never torn.
 		for i := range h.buckets {
-			hs.Buckets = append(hs.Buckets, h.buckets[i].Load())
+			n := h.buckets[i].Load()
+			hs.Buckets = append(hs.Buckets, n)
+			hs.Count += n
 		}
 		s.Histograms[name] = hs
 	}

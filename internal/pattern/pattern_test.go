@@ -339,28 +339,50 @@ func TestCountsRatio(t *testing.T) {
 	}
 }
 
+// labelCounts converts the class counts of a lattice counted with the
+// labels as classes to Counts.
+func labelCounts(c []int32) Counts {
+	return Counts{N: int(c[0] + c[1]), Pos: int(c[1])}
+}
+
+// TestCountAllMatchesBruteForce checks both backends: the dense cube
+// CountAll picks for this small space, and the hash table it falls
+// back to on wide ones.
 func TestCountAllMatchesBruteForce(t *testing.T) {
 	sp, d := testData(t, 300, 42)
-	table := sp.CountAll(d)
-	for _, m := range sp.Masks() {
-		sp.EnumerateNode(m, func(p Pattern) {
-			want := sp.CountPattern(d, p)
-			got := table[sp.Key(p)]
-			if got != want {
-				t.Fatalf("counts for %v: got %+v want %+v", sp.String(p), got, want)
+	for b, lat := range []*Lattice{sp.CountAll(d, d.Labels, 2), sp.countSparse(d, d.Labels, 2)} {
+		nonEmpty := 0
+		for _, m := range sp.Masks() {
+			sp.EnumerateNode(m, func(p Pattern) {
+				want := sp.CountPattern(d, p)
+				if want.N > 0 {
+					nonEmpty++
+				}
+				if got := labelCounts(lat.Counts(p)); got != want || lat.Size(p) != want.N {
+					t.Fatalf("backend %d: counts for %v: got %+v want %+v", b, sp.String(p), got, want)
+				}
+			})
+		}
+		lat.Walk(func(p Pattern, c []int32) bool {
+			if got := labelCounts(c); got != sp.CountPattern(d, p) || got.N == 0 {
+				t.Fatalf("backend %d: walked %v with counts %+v", b, sp.String(p), got)
 			}
+			nonEmpty--
+			return true
 		})
+		if nonEmpty != 0 {
+			t.Fatalf("backend %d: walk missed %d non-empty regions", b, nonEmpty)
+		}
 	}
 }
 
 func TestCountNodeMatchesCountAll(t *testing.T) {
 	sp, d := testData(t, 500, 7)
-	all := sp.CountAll(d)
+	all := sp.CountAll(d, d.Labels, 2)
 	for _, m := range sp.Masks() {
 		node := sp.CountNode(d, m)
 		sp.EnumerateNode(m, func(p Pattern) {
-			k := sp.Key(p)
-			if node[k] != all[k] {
+			if node[sp.Key(p)] != labelCounts(all.Counts(p)) {
 				t.Fatalf("node/all mismatch at %v", sp.String(p))
 			}
 		})
@@ -369,8 +391,9 @@ func TestCountNodeMatchesCountAll(t *testing.T) {
 
 func TestCountAllTotals(t *testing.T) {
 	sp, d := testData(t, 200, 9)
-	table := sp.CountAll(d)
-	root := table[sp.Key(NewPattern(sp.Dim()))]
+	lat := sp.CountAll(d, d.Labels, 2)
+	count := func(p Pattern) Counts { return labelCounts(lat.Counts(p)) }
+	root := count(NewPattern(sp.Dim()))
 	if root != Totals(d) {
 		t.Fatalf("root counts %+v != totals %+v", root, Totals(d))
 	}
@@ -381,12 +404,12 @@ func TestCountAllTotals(t *testing.T) {
 	for v := 0; v < sp.Cards[1]; v++ {
 		q := p.Clone()
 		q[1] = int16(v)
-		c := table[sp.Key(q)]
+		c := count(q)
 		sum.N += c.N
 		sum.Pos += c.Pos
 	}
-	if sum != table[sp.Key(p)] {
-		t.Fatalf("children don't sum to parent: %+v vs %+v", sum, table[sp.Key(p)])
+	if sum != count(p) {
+		t.Fatalf("children don't sum to parent: %+v vs %+v", sum, count(p))
 	}
 }
 
@@ -409,17 +432,18 @@ func TestRowsIn(t *testing.T) {
 // sum(parents) - d*counts(r) equals the direct sum over T=1 neighbors.
 func TestParentNeighborIdentity(t *testing.T) {
 	sp, d := testData(t, 400, 99)
-	table := sp.CountAll(d)
+	lat := sp.CountAll(d, d.Labels, 2)
+	count := func(p Pattern) Counts { return labelCounts(lat.Counts(p)) }
 	for _, m := range sp.Masks() {
 		if m == 0 {
 			continue
 		}
 		sp.EnumerateNode(m, func(p Pattern) {
-			rc := table[sp.Key(p)]
+			rc := count(p)
 			var viaParents Counts
 			nd := 0
 			sp.Parents(p, func(q Pattern) {
-				c := table[sp.Key(q)]
+				c := count(q)
 				viaParents.N += c.N
 				viaParents.Pos += c.Pos
 				nd++
@@ -428,7 +452,7 @@ func TestParentNeighborIdentity(t *testing.T) {
 			viaParents.Pos -= nd * rc.Pos
 			var direct Counts
 			sp.Neighbors(p, 1, func(q Pattern) {
-				c := table[sp.Key(q)]
+				c := count(q)
 				direct.N += c.N
 				direct.Pos += c.Pos
 			})

@@ -276,13 +276,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	j, err := s.engine.Submit(r.Context(), req, release)
+	st, err := s.engine.Submit(r.Context(), req, release)
 	if err != nil {
 		// Submit released the dataset reference already.
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {

@@ -330,8 +330,8 @@ func (e *engine) evictIdemLocked() {
 // release is the dataset reference to return when the job reaches a
 // terminal state; on submission failure (and on an idempotent replay,
 // where the prior job holds its own reference) Submit releases it
-// itself.
-func (e *engine) Submit(ctx context.Context, req JobRequest, release func()) (*job, error) {
+// itself. It returns the job's status as of its acknowledgment.
+func (e *engine) Submit(ctx context.Context, req JobRequest, release func()) (JobStatus, error) {
 	j := &job{
 		req:      req,
 		state:    StateQueued,
@@ -346,7 +346,7 @@ func (e *engine) Submit(ctx context.Context, req JobRequest, release func()) (*j
 	if e.closed {
 		e.mu.Unlock()
 		release()
-		return nil, ErrShuttingDown
+		return JobStatus{}, ErrShuttingDown
 	}
 	if req.IdempotencyKey != "" {
 		if prev, ok := e.idem[req.IdempotencyKey]; ok {
@@ -354,7 +354,7 @@ func (e *engine) Submit(ctx context.Context, req JobRequest, release func()) (*j
 			release()
 			e.metrics.Counter("serve.jobs_deduped").Inc()
 			e.logger.Info("job submission deduped", "job", prev.id, "idem_key", req.IdempotencyKey)
-			return prev, nil
+			return prev.status(), nil
 		}
 	}
 	e.seq++
@@ -371,7 +371,10 @@ func (e *engine) Submit(ctx context.Context, req JobRequest, release func()) (*j
 				e.idemInsertLocked(req.IdempotencyKey, j)
 			}
 			e.mu.Unlock()
-			return e.finishFromCache(ctx, j, raw)
+			if err := e.finishFromCache(ctx, j, raw); err != nil {
+				return JobStatus{}, err
+			}
+			return j.status(), nil
 		}
 	}
 	tenant, hint, qerr := e.queue.push(j, false)
@@ -382,13 +385,13 @@ func (e *engine) Submit(ctx context.Context, req JobRequest, release func()) (*j
 		case errors.Is(qerr, ErrRateLimited):
 			e.metrics.Counter("serve.jobs_throttled").Inc()
 			e.metrics.Counter(obs.WithLabel("serve.tenant_throttled", "tenant", tenant)).Inc()
-			return nil, &RetryAfterError{Err: qerr, Seconds: hint}
+			return JobStatus{}, &RetryAfterError{Err: qerr, Seconds: hint}
 		case errors.Is(qerr, ErrQueueFull):
 			e.metrics.Counter("serve.jobs_rejected").Inc()
 			e.metrics.Counter(obs.WithLabel("serve.tenant_rejected", "tenant", tenant)).Inc()
-			return nil, &RetryAfterError{Err: qerr, Seconds: e.retryAfter()}
+			return JobStatus{}, &RetryAfterError{Err: qerr, Seconds: e.retryAfter()}
 		}
-		return nil, qerr
+		return JobStatus{}, qerr
 	}
 	e.jobs[j.id] = j
 	e.order = append(e.order, j.id)
@@ -413,13 +416,16 @@ func (e *engine) Submit(ctx context.Context, req JobRequest, release func()) (*j
 			e.mu.Unlock()
 		}
 		e.metrics.Counter("serve.journal_errors").Inc()
-		return nil, fmt.Errorf("serve: journal submission: %w", err)
+		return JobStatus{}, fmt.Errorf("serve: journal submission: %w", err)
 	}
+	// The acknowledgment reports the job as admitted: once admitted is
+	// closed a worker may run it to completion before Submit returns.
+	st := j.status()
 	close(j.admitted)
 	e.metrics.Counter("serve.jobs_submitted").Inc()
 	e.metrics.Gauge("serve.jobs_queued").Set(float64(e.queue.len()))
 	e.logger.Info("job queued", "job", j.id, "kind", req.Kind, "dataset", req.DatasetID, "tenant", tenant)
-	return j, nil
+	return st, nil
 }
 
 // finishFromCache completes a cache-hit submission: the job is
@@ -428,7 +434,7 @@ func (e *engine) Submit(ctx context.Context, req JobRequest, release func()) (*j
 // A journal failure follows the same contracts as the slow path: an
 // unjournaled admission poisons the submission; an unjournaled done
 // degrades to failed.
-func (e *engine) finishFromCache(ctx context.Context, j *job, raw json.RawMessage) (*job, error) {
+func (e *engine) finishFromCache(ctx context.Context, j *job, raw json.RawMessage) error {
 	e.traceIdentity(ctx, j)
 	_, sp := obs.StartSpan(obs.WithTracer(ctx, j.tracer), "serve.cache_hit")
 	sp.SetStr("job", j.id)
@@ -445,7 +451,7 @@ func (e *engine) finishFromCache(ctx context.Context, j *job, raw json.RawMessag
 			e.mu.Unlock()
 		}
 		e.metrics.Counter("serve.journal_errors").Inc()
-		return nil, fmt.Errorf("serve: journal submission: %w", err)
+		return fmt.Errorf("serve: journal submission: %w", err)
 	}
 	if err := e.journalState(ctx, j.id, StateDone, "", 0); err != nil {
 		e.metrics.Counter("serve.journal_errors").Inc()
@@ -460,7 +466,7 @@ func (e *engine) finishFromCache(ctx context.Context, j *job, raw json.RawMessag
 		e.metrics.Counter("serve.jobs_submitted").Inc()
 		e.accountFinish(j.tenant, StateFailed)
 		e.metrics.Counter("serve.jobs_failed").Inc()
-		return j, nil
+		return nil
 	}
 	j.mu.Lock()
 	j.result = raw
@@ -473,7 +479,7 @@ func (e *engine) finishFromCache(ctx context.Context, j *job, raw json.RawMessag
 	e.metrics.Counter(obs.WithLabel("serve.tenant_cache_hits", "tenant", j.tenant)).Inc()
 	e.metrics.Counter("serve.jobs_done").Inc()
 	e.logger.Info("job served from cache", "job", j.id, "kind", j.req.Kind, "tenant", j.tenant)
-	return j, nil
+	return nil
 }
 
 // cacheFill stores a done job's result for replay. Marshal errors just

@@ -1,8 +1,9 @@
 #!/bin/sh
 # bench.sh — run the root benchmark suite (bench_test.go: every paper
 # figure in quick mode plus the identify/remedy micro-benchmarks) and
-# the layer benchmarks of internal/ml (one fit per model) and
-# internal/core (preload and optimized identify), and write the
+# the layer benchmarks of internal/ml (one fit per model),
+# internal/core (preload and optimized identify) and internal/divexplorer
+# (one FPR audit of the Adult test split), and write the
 # machine-readable BENCH_*.json artifact that tracks the repo's perf
 # trajectory across PRs. Each row records its package.
 #
@@ -29,7 +30,7 @@ benchtime="${BENCHTIME:-5x}"
 
 echo "== go test -bench . -benchtime $benchtime (writing $out)"
 go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count 1 \
-    . ./internal/ml/ ./internal/core/ \
+    . ./internal/ml/ ./internal/core/ ./internal/divexplorer/ \
     | tee /dev/stderr \
     | go run scripts/benchjson.go > "$out"
 echo "== wrote $out"

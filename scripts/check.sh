@@ -1,7 +1,10 @@
 #!/bin/sh
-# check.sh — the CI gate: build, vet, race-enabled tests, and the
-# remedylint static-analysis suite over non-test library code.
-# Equivalent to `make check` for environments without make.
+# check.sh — the CI gate and its one step list: build, vet, the
+# remedylint static-analysis suite, and every test under the race
+# detector. `make check` runs this script. The per-layer Makefile
+# targets (obs-check, serve-check, durable-check, cluster-check,
+# chaos-check, obs-fleet-check, load-check) are developer shortcuts
+# into the same tests; the final race run covers them all.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,66 +29,14 @@ echo "== remedylint: interprocedural concurrency/durability analyzers"
 # round-trip/fsync/unbuffered-send while a mutex is held, unless
 # waived with the design reason inline), goroleak (every goroutine
 # has a cancellation path), journalgate (every job state transition
-# in serve/cluster journals before acknowledging — the PR 5
-# contract). Any new finding from these fails the gate.
+# in serve/cluster journals before acknowledging). Any new finding
+# from these fails the gate.
 go run ./cmd/remedylint -analyzers lockorder,heldcall,goroleak,journalgate ./...
 
-echo "== obs: vet + race (make obs-check)"
-go vet ./internal/obs/...
-go test -race ./internal/obs/...
-
-echo "== serve: vet + race + e2e smoke (make serve-check)"
-go vet ./internal/serve/... ./cmd/remedyd/...
-go test -race ./internal/serve/... ./cmd/remedyd/...
-go test -race -run 'TestE2EIdentifyRemedy|TestServeEndToEnd' -count=1 \
-    ./internal/serve/ ./cmd/remedyd/
-
-echo "== durable: vet + race chaos tests (make durable-check)"
-go vet ./internal/durable/...
-go test -race ./internal/durable/...
-go test -race -count=1 -run 'Durable|Crash|Recovery|Restart|Retry|Circuit' \
-    ./internal/serve/ ./cmd/remedyd/
-
-echo "== cluster: vet + race failover chaos tests (make cluster-check)"
-# Replication, leader handoff, sharding, and work stealing under the
-# race detector — including the kill-the-leader-mid-identify chaos
-# test (fleet IBS byte-identical to a single-node run, exactly-once)
-# and the cmd-level two-node failover over real TCP.
-go vet ./internal/cluster/...
-go test -race -count=1 ./internal/cluster/
-go test -race -count=1 -run 'Cluster' ./cmd/remedyd/
-
-echo "== chaos: network faults + kill-switch suite (make chaos-check)"
-# The fault-injection gate: the deterministic lossy network
-# (drop/dup/delay/partition per directed link, seeded schedules) and
-# every chaos scenario built on it — partition → heal → byte-identical
-# journals, asymmetric partition during a steal, compaction racing
-# replication, and the live-rejoin headline (a deposed node behind the
-# compaction horizon rejoins through a flaky link via snapshot
-# install, without a restart, and the fleet's IBS stays byte-identical
-# to a single-node run).
-go test -race -count=1 ./internal/faults/
-go test -race -count=1 -run 'Chaos|Deposed|NetFaults' \
-    ./internal/cluster/ ./internal/serve/
-
-echo "== fleet observability: stitched trace + federation (make obs-fleet-check)"
-# A three-node fleet steals a job: the leader's per-job trace must be
-# one stitched timeline with spans from every participating node ID
-# under a deterministic trace ID, and /metrics/fleet's merged counters
-# must equal the sum of the per-node registries.
-go test -race -count=1 -run 'ObsFleet' ./internal/cluster/
-
-echo "== load: harness determinism + multi-tenant admission (make load-check)"
-# The load harness's acceptance test (two same-seed runs byte-identical,
-# zero lost/duplicated jobs, fairness within 20% of weights, at least
-# one response-cache hit) plus the fair-queue/quota/Retry-After/cache
-# unit tests, all under the race detector.
-go vet ./internal/load/... ./cmd/remedyload/...
-go test -race -count=1 ./internal/load/ ./cmd/remedyload/
-go test -race -count=1 \
-    -run 'FairQueue|RetryAfter|Tenant|Cache|ClientRetry' ./internal/serve/
-
-echo "== go test -race ./..."
-go test -race ./...
+echo "== go test -race -count=1 ./..."
+# Every package under the race detector, uncached: the obs, serve,
+# durable, cluster, chaos, fleet-observability and load suites the
+# per-layer targets run are all part of it.
+go test -race -count=1 ./...
 
 echo "all checks passed"
