@@ -209,7 +209,7 @@ func TestChaosLeaderKilledMidIdentifyFailsOver(t *testing.T) {
 	// transition for the job, and the done record credits node-b.
 	doneRecs := 0
 	if _, err := durable.ReplayJournal(ctx, b.store.Journal().Path(), func(rec durable.Record) error {
-		if rec.Type == durable.RecState && rec.JobID == st.ID && rec.State == string(serve.StateDone) {
+		if rec.Type == durable.RecState && rec.JobID == st.ID && rec.State == serve.StateDone {
 			doneRecs++
 		}
 		return nil

@@ -46,10 +46,9 @@ type Record struct {
 	IdemKey string          `json:"idem_key,omitempty"`
 	Request json.RawMessage `json:"request,omitempty"`
 
-	// State fields. State strings are the serving layer's job states
-	// plus "interrupted", written during recovery for jobs found
-	// running at the crash.
-	State   string `json:"state,omitempty"`
+	// State fields: the job state the transition enters (recover.go
+	// defines the machine).
+	State   State  `json:"state,omitempty"`
 	Error   string `json:"error,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
 

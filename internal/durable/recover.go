@@ -11,22 +11,29 @@ import (
 	"repro/internal/obs"
 )
 
-// Job states as the journal spells them. The serving layer owns the
-// richer typed state machine; the reduction only needs to know which
-// states are terminal and that "running" work orphaned by a crash
-// must be re-queued.
+// State is a job's lifecycle state as the journal spells it: the one
+// definition of the job state machine (serve.State is an alias).
+//
+//	queued ──▶ running ──▶ done
+//	   │          ├──────▶ failed
+//	   └──────────┴──────▶ cancelled
+//
+// Terminal states never transition again. interrupted exists only in
+// journals: recovery writes it for a job it found running at a crash.
+type State string
+
 const (
-	StateQueued      = "queued"
-	StateRunning     = "running"
-	StateDone        = "done"
-	StateFailed      = "failed"
-	StateCancelled   = "cancelled"
-	StateInterrupted = "interrupted"
+	StateQueued      State = "queued"
+	StateRunning     State = "running"
+	StateDone        State = "done"
+	StateFailed      State = "failed"
+	StateCancelled   State = "cancelled"
+	StateInterrupted State = "interrupted"
 )
 
-// terminal reports whether a journaled state never transitions again.
-func terminal(state string) bool {
-	return state == StateDone || state == StateFailed || state == StateCancelled
+// Terminal reports whether the state never transitions again.
+func (s State) Terminal() bool {
+	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
 // JobRecord is one job as reduced from the journal: its identity, the
@@ -36,7 +43,7 @@ type JobRecord struct {
 	ID      string          `json:"id"`
 	IdemKey string          `json:"idem_key,omitempty"`
 	Request json.RawMessage `json:"request,omitempty"`
-	State   string          `json:"state"`
+	State   State           `json:"state"`
 	Error   string          `json:"error,omitempty"`
 	// Attempt counts how many times the job has been (re)queued after
 	// an interruption; 0 for a job on its first life.
@@ -160,50 +167,56 @@ func (t *Table) reduceOne(byID map[string]*JobRecord, seq uint64, rec Record) {
 		return
 	}
 	j := byID[rec.JobID]
-	switch rec.Type {
-	case RecSubmit:
-		if j != nil {
-			t.Dropped++ // duplicate submission: first one wins
-			return
-		}
-		state := rec.State
-		if state == "" {
-			state = StateQueued
-		}
-		j = &JobRecord{
-			ID:      rec.JobID,
-			IdemKey: rec.IdemKey,
-			Request: rec.Request,
-			State:   state,
-			Attempt: rec.Attempt,
-		}
+	if j == nil && rec.Type == RecSubmit {
+		j = &JobRecord{}
 		byID[rec.JobID] = j
 		t.Jobs = append(t.Jobs, j)
 		if seq, ok := jobSeq(rec.JobID); ok && seq > t.MaxJobSeq {
 			t.MaxJobSeq = seq
 		}
+	}
+	if j == nil || !j.Apply(rec) {
+		t.Dropped++
+	}
+}
+
+// Apply folds one record into the job and reports whether it took
+// effect. It is Reduce's per-job step and the live engine's transition
+// function, so a live job and its replayed journal agree. A second
+// submit, and a state or checkpoint record before the submit, after a
+// terminal state or empty, are rejected; the attempt only grows.
+func (j *JobRecord) Apply(rec Record) bool {
+	if rec.Type == RecSubmit {
+		if j.ID != "" {
+			return false // duplicate submission: first one wins
+		}
+		*j = JobRecord{ID: rec.JobID, IdemKey: rec.IdemKey, Request: rec.Request, State: rec.State, Attempt: rec.Attempt}
+		if j.State == "" {
+			j.State = StateQueued
+		}
+		return true
+	}
+	if j.ID == "" || j.State.Terminal() {
+		return false
+	}
+	switch rec.Type {
 	case RecState:
-		if j == nil || terminal(j.State) || rec.State == "" {
-			t.Dropped++
-			return
+		if rec.State == "" {
+			return false
 		}
-		j.State = rec.State
-		j.Error = rec.Error
-		if rec.Attempt > j.Attempt {
-			j.Attempt = rec.Attempt
-		}
+		j.State, j.Error, j.Attempt = rec.State, rec.Error, max(j.Attempt, rec.Attempt)
 	case RecCheckpoint:
-		if j == nil || terminal(j.State) || len(rec.Checkpoint) == 0 {
-			t.Dropped++
-			return
+		if len(rec.Checkpoint) == 0 {
+			return false
 		}
 		if j.Checkpoints == nil {
 			j.Checkpoints = make(map[int]json.RawMessage)
 		}
 		j.Checkpoints[rec.Level] = rec.Checkpoint
 	default:
-		t.Dropped++
+		return false
 	}
+	return true
 }
 
 // jobSeq extracts the numeric suffix of a "job-NNNNNN" ID.

@@ -16,9 +16,15 @@ import (
 
 // This file is the restart half of the durability contract: it turns
 // the journal and spill area left by a dead server into a live one.
+// The live half is engine.commit (jobs.go): a job's state changes only
+// by appending a journal record and folding it through
+// durable.JobRecord.Apply, the step durable.Reduce folds a replayed
+// journal with — so the table recovery rebuilds here is, job for job,
+// the table the dead engine showed.
+//
 // Datasets come back first (so recovered jobs can re-acquire their
 // inputs), then the journal is reduced to a job table and each job is
-// restored per its proven state:
+// restored from its reduced record per its proven state:
 //
 //   - terminal (done/failed/cancelled): queryable history. Result
 //     payloads are not retained across restarts, so fetching a
@@ -28,9 +34,11 @@ import (
 //     as interrupted with a bumped attempt counter and re-queued to
 //     resume from its last completed identify checkpoint, until its
 //     attempt budget (Config.MaxAttempts) is spent, at which point it
-//     is journaled failed.
+//     is journaled failed. interrupted exists only in the journal: the
+//     engine shows the re-queued job as queued, at the bumped attempt,
+//     until a worker takes it.
 //
-// Every state written during recovery is appended to the same journal
+// Every state written during recovery goes through engine.commit
 // before the job is restored, so a crash *during* recovery replays to
 // the same table.
 
@@ -206,21 +214,21 @@ func (s *Server) restoreOneDataset(ctx context.Context, sd durable.SpilledDatase
 func (s *Server) restoreJob(ctx context.Context, rec *durable.JobRecord) (bool, error) {
 	j := &job{
 		id:       rec.ID,
-		state:    State(rec.State),
-		errMsg:   rec.Error,
-		attempts: rec.Attempt,
+		rec:      *rec,
 		metrics:  obs.NewRegistry(),
 		tracer:   obs.NewTracer(),
 		done:     make(chan struct{}),
 		enqueued: time.Now(), //lint:allow determinism job lifecycle timestamp is reporting metadata, not a pipeline input
 	}
+	// j.req and j.resume hold the request and checkpoints decoded.
+	j.rec.Request, j.rec.Checkpoints = nil, nil
+	var reqErr error
 	if len(rec.Request) > 0 {
-		if err := json.Unmarshal(rec.Request, &j.req); err != nil {
-			return false, s.restoreFailed(ctx, j, rec, "journaled request undecodable: "+err.Error())
-		}
+		reqErr = json.Unmarshal(rec.Request, &j.req)
 	}
+	j.tenant = s.engine.queue.canonical(tenantOf(j.req))
 
-	if j.state.Terminal() {
+	if rec.State.Terminal() {
 		// History only: the terminal timestamp is lost with the process,
 		// so finished mirrors the restore time. No new journal record —
 		// the journal already proves this outcome.
@@ -229,11 +237,14 @@ func (s *Server) restoreJob(ctx context.Context, rec *durable.JobRecord) (bool, 
 		return false, s.restoreInsert(ctx, j, rec)
 	}
 
+	if reqErr != nil {
+		return false, s.restoreFailed(ctx, j, rec, "journaled request undecodable: "+reqErr.Error())
+	}
 	if j.req.Kind == "" || j.req.DatasetID == "" {
 		return false, s.restoreFailed(ctx, j, rec, "journaled request incomplete")
 	}
 
-	switch j.state {
+	switch rec.State {
 	case StateQueued:
 		// Never ran; same attempt, no new record.
 	case StateRunning, StateInterrupted:
@@ -242,13 +253,15 @@ func (s *Server) restoreJob(ctx context.Context, rec *durable.JobRecord) (bool, 
 			return false, s.restoreFailed(ctx, j, rec, fmt.Sprintf(
 				"interrupted by restart; attempt budget exhausted (%d/%d)", attempt, s.cfg.MaxAttempts))
 		}
-		if err := s.engine.journalState(ctx, j.id, StateInterrupted, "interrupted by restart", attempt); err != nil {
+		err := s.engine.commit(ctx, j, func(durable.JobRecord) (durable.Record, error) {
+			return j.record(StateInterrupted, "interrupted by restart", attempt), nil
+		})
+		if err != nil {
 			return false, fmt.Errorf("serve: journal interruption: %w", err)
 		}
-		j.attempts = attempt
 		j.resume = decodeCheckpoints(rec)
 	default:
-		return false, s.restoreFailed(ctx, j, rec, "journaled state unknown: "+string(j.state))
+		return false, s.restoreFailed(ctx, j, rec, "journaled state unknown: "+string(rec.State))
 	}
 
 	// Re-take the dataset reference the original submission held. In a
@@ -259,15 +272,17 @@ func (s *Server) restoreJob(ctx context.Context, rec *durable.JobRecord) (bool, 
 		return false, s.restoreFailed(ctx, j, rec, "dataset not recovered: "+err.Error())
 	}
 	j.release = release
-	j.state = StateQueued
-	j.errMsg = ""
+	// interrupted exists only in the journal: the engine shows the job
+	// as queued, at the attempt the record bumped, until a worker takes
+	// it.
+	j.rec.State = StateQueued
 	if err := s.engine.restore(j); err != nil {
 		release()
 		j.release = nil
 		return false, s.restoreFailed(ctx, j, rec, "re-queue failed: "+err.Error())
 	}
 	s.logger.Info("job re-queued after restart",
-		"job", j.id, "attempt", j.attempts, "checkpoints", len(j.resume))
+		"job", j.id, "attempt", j.rec.Attempt, "checkpoints", len(j.resume))
 	return true, nil
 }
 
@@ -275,15 +290,9 @@ func (s *Server) restoreJob(ctx context.Context, rec *durable.JobRecord) (bool, 
 // as failed history. The journal append must succeed: a recovery that
 // cannot write its own conclusions would replay differently next time.
 func (s *Server) restoreFailed(ctx context.Context, j *job, rec *durable.JobRecord, reason string) error {
-	if err := s.engine.journalState(ctx, j.id, StateFailed, reason, j.attempts); err != nil {
+	if err := s.engine.commit(ctx, j, j.to(StateFailed, reason, nil)); err != nil {
 		return fmt.Errorf("serve: journal recovery failure: %w", err)
 	}
-	j.state = StateFailed
-	j.errMsg = reason
-	j.finished = j.enqueued
-	close(j.done)
-	s.metrics.Counter("serve.jobs_failed").Inc()
-	s.logger.Warn("recovered job marked failed", "job", j.id, "reason", reason)
 	return s.restoreInsert(ctx, j, rec)
 }
 

@@ -34,6 +34,14 @@ func openStore(t *testing.T, dir string) *durable.Store {
 // the on-disk image is exactly what an abrupt death would leave.
 func newDurableServer(t *testing.T, dir string, cfg Config) (*Client, func()) {
 	t.Helper()
+	_, c, stop := durableServer(t, dir, cfg)
+	return c, stop
+}
+
+// durableServer is newDurableServer that also returns the server, for
+// tests that drive the engine in-process (work stealing, its table).
+func durableServer(t *testing.T, dir string, cfg Config) (*Server, *Client, func()) {
+	t.Helper()
 	store := openStore(t, dir)
 	srv, err := NewDurable(context.Background(), cfg, store)
 	if err != nil {
@@ -59,7 +67,7 @@ func newDurableServer(t *testing.T, dir string, cfg Config) (*Client, func()) {
 		}
 	}
 	t.Cleanup(stop)
-	return NewClient(hs.URL), stop
+	return srv, NewClient(hs.URL), stop
 }
 
 // submitAndWait runs one job to a terminal state.
@@ -389,7 +397,7 @@ func TestCrashMidRemedyReRunsJob(t *testing.T) {
 		if seenRunning.Load() {
 			return true
 		}
-		if rec.Type == durable.RecState && rec.State == string(StateRunning) {
+		if rec.Type == durable.RecState && rec.State == StateRunning {
 			seenRunning.Store(true)
 		}
 		return false
@@ -448,10 +456,10 @@ func TestRecoveryAttemptBudgetAndMissingDataset(t *testing.T) {
 	req := []byte(`{"kind":"identify","dataset_id":"ds-missing"}`)
 	// job-000001: interrupted on its last allowed life.
 	mustAppend(durable.Record{Type: durable.RecSubmit, JobID: "job-000001", Request: req})
-	mustAppend(durable.Record{Type: durable.RecState, JobID: "job-000001", State: string(StateRunning), Attempt: 2})
+	mustAppend(durable.Record{Type: durable.RecState, JobID: "job-000001", State: StateRunning, Attempt: 2})
 	// job-000002: first life, but its dataset was never spilled.
 	mustAppend(durable.Record{Type: durable.RecSubmit, JobID: "job-000002", Request: req})
-	mustAppend(durable.Record{Type: durable.RecState, JobID: "job-000002", State: string(StateRunning)})
+	mustAppend(durable.Record{Type: durable.RecState, JobID: "job-000002", State: StateRunning})
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +484,7 @@ func TestRecoveryAttemptBudgetAndMissingDataset(t *testing.T) {
 	recs := journalRecords(t, dir)
 	failed := map[string]bool{}
 	for _, r := range recs {
-		if r.Type == durable.RecState && r.State == string(StateFailed) {
+		if r.Type == durable.RecState && r.State == StateFailed {
 			failed[r.JobID] = true
 		}
 	}

@@ -339,14 +339,14 @@ func (q *fairQueue) recordOutcome(tenant string, final State) {
 }
 
 // recordCacheHit accounts one submission answered from the response
-// cache: it counts as submitted and done without ever queueing.
+// cache: it counts as submitted without ever queueing (its done is
+// counted by recordOutcome, like any other job's).
 func (q *fairQueue) recordCacheHit(tenant string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	t := q.tenantLocked(tenant)
 	t.submitted++
 	t.cacheHits++
-	t.done++
 }
 
 // tenantHealth snapshots every tenant's row in ring (registration)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // fqJob builds a bare queued job for fair-queue unit tests (no engine
@@ -12,7 +14,7 @@ func fqJob(id, tenant string) *job {
 	return &job{
 		id:       id,
 		req:      JobRequest{Kind: "identify", DatasetID: "ds-x", Tenant: tenant},
-		state:    StateQueued,
+		rec:      durable.JobRecord{ID: id, State: StateQueued},
 		done:     make(chan struct{}),
 		admitted: make(chan struct{}),
 	}

@@ -317,7 +317,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	state, res, errMsg := j.state, j.result, j.errMsg
+	state, res, errMsg := j.rec.State, j.result, j.rec.Error
 	j.mu.Unlock()
 	switch state {
 	case StateDone:

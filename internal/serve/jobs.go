@@ -53,9 +53,12 @@ type job struct {
 	// job is observable; the fair queue's mutex publishes it).
 	tenant string
 
-	mu         sync.Mutex
-	state      State
-	errMsg     string
+	mu sync.Mutex
+	// rec is the job as durable.Reduce rebuilds it from the journal:
+	// state, error and attempt. commit is the only way it changes,
+	// apart from the local-only ends (endLocal) and a recovered job
+	// re-entering the queue (restoreJob).
+	rec        durable.JobRecord
 	result     any
 	cancel     context.CancelFunc // set while running
 	cancelWant bool               // Cancel called; disambiguates ctx.Canceled
@@ -78,8 +81,6 @@ type job struct {
 	// the job's "submit" record in the journal.
 	admitted chan struct{}
 
-	// attempts counts crash-recovery re-queues (0 on a first life).
-	attempts int
 	// resume holds the identify checkpoints recovered from the journal,
 	// seeded into the traversal when the job re-runs.
 	resume []core.LevelSnapshot
@@ -94,9 +95,13 @@ func (j *job) status() JobStatus {
 		Kind:       j.req.Kind,
 		DatasetID:  j.req.DatasetID,
 		Tenant:     j.tenant,
-		State:      j.state,
-		Error:      j.errMsg,
+		State:      j.rec.State,
+		Error:      j.rec.Error,
+		Attempts:   j.rec.Attempt,
 		EnqueuedAt: j.enqueued,
+	}
+	if st.State == "" {
+		st.State = StateQueued // its submission record is being journaled
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -109,7 +114,6 @@ func (j *job) status() JobStatus {
 	if counters := j.metrics.Snapshot().Counters; len(counters) > 0 {
 		st.Progress = counters
 	}
-	st.Attempts = j.attempts
 	return st
 }
 
@@ -205,45 +209,167 @@ func (e *engine) journalObs(ctx context.Context) context.Context {
 	return obs.WithLogger(obs.WithMetrics(ctx, e.metrics), e.logger)
 }
 
-// journalSubmit appends the job's admission record. No-op without a
-// journal.
-func (e *engine) journalSubmit(ctx context.Context, j *job) error {
-	if e.journal == nil {
-		return nil
+// errNoChange reports a transition that left the job as it was: the
+// caller declined it, or durable's step rejected the record (the job
+// is already terminal).
+var errNoChange = errors.New("serve: job state unchanged")
+
+// transition decides, from the job's current record, the journal
+// record that moves it on. It runs under j.mu; returning errNoChange
+// (or any other error) leaves the job's record as it is.
+type transition func(cur durable.JobRecord) (durable.Record, error)
+
+// record is the journal record of j entering st.
+func (j *job) record(st State, msg string, attempt int) durable.Record {
+	return durable.Record{Type: durable.RecState, JobID: j.id, State: st, Error: msg, Attempt: attempt}
+}
+
+// to is the transition into st at the job's current attempt. It also
+// sets the job's result to res, which is read only once the job is done.
+func (j *job) to(st State, msg string, res any) transition {
+	return func(cur durable.JobRecord) (durable.Record, error) {
+		j.result = res
+		return j.record(st, msg, cur.Attempt), nil
 	}
-	raw, err := json.Marshal(j.req)
+}
+
+// commit is the engine's one job state transition. With j.mu held it
+// asks next for the record, checks that durable's step accepts it,
+// appends it to the journal, and applies it through that same step —
+// so the engine's table is what durable.Reduce makes of the journal,
+// and no transition is observable before it is durable. A record that
+// ends the job runs the terminal side effects once (finishLocked).
+// commit returns errNoChange or next's error untouched; an append
+// failure (counted in serve.journal_errors) leaves the job as it was
+// and each caller applies its own policy. Without a journal (the
+// in-memory mode) the record is applied and nothing is written.
+func (e *engine) commit(ctx context.Context, j *job, next transition) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rec, err := next(j.rec)
 	if err != nil {
 		return err
 	}
-	return e.journal.Append(e.journalObs(ctx), durable.Record{
-		Type:    durable.RecSubmit,
-		JobID:   j.id,
-		IdemKey: j.req.IdempotencyKey,
-		Request: raw,
-		Attempt: j.attempts,
-	})
+	after := j.rec
+	if !after.Apply(rec) {
+		return errNoChange
+	}
+	if e.journal != nil {
+		//lint:allow heldcall j.mu covers check + append + apply, so this job's journal order is the order its transitions took effect and no other transition can slip between check and append
+		if err := e.journal.Append(e.journalObs(ctx), rec); err != nil {
+			e.metrics.Counter("serve.journal_errors").Inc()
+			return err
+		}
+	}
+	j.rec = after
+	if after.State.Terminal() {
+		e.finishLocked(j, rec.Node)
+	}
+	return nil
 }
 
-// journalState appends one state transition. No-op without a journal.
-func (e *engine) journalState(ctx context.Context, id string, st State, errMsg string, attempt int) error {
-	return e.journalStateNode(ctx, id, st, errMsg, attempt, "")
+// endLocal ends a job without a journal record, for the cases where
+// none can be written: a submission that could not be journaled (the
+// job is poisoned, never acknowledged), a start that could not be
+// journaled (the job must not run), a terminal record the journal
+// refused (the failure is logged and the job still ends, so its
+// waiters and dataset reference are released), and demote (the journal
+// is fenced). A job already terminal is left alone. Caller holds j.mu.
+func (e *engine) endLocal(j *job, st State, msg string) {
+	if j.rec.State.Terminal() {
+		return
+	}
+	j.rec.State, j.rec.Error = st, msg
+	//lint:allow journalgate the local-only end: every caller has found the journal unwritable (or fenced) for this job, and the doc comment lists the cases
+	e.finishLocked(j, "")
 }
 
-// journalStateNode is journalState with work-stealing attribution: the
-// node that ran the transition, recorded on the journal record for
-// audit trails ("" for the journal's own node).
-func (e *engine) journalStateNode(ctx context.Context, id string, st State, errMsg string, attempt int, node string) error {
-	if e.journal == nil {
+// finish journals j's outcome, with res as a done job's result, and
+// returns the state it ended in ("" if the job had already ended). A
+// done the journal refuses is not acknowledged as done — recovery would
+// re-run the job and a client could see it finish twice — so it
+// degrades to failed with degrade plus the journal error; an outcome
+// the journal refuses outright is logged and the job ends locally.
+func (e *engine) finish(ctx context.Context, j *job, final State, msg string, res any, degrade string) State {
+	err := e.commit(ctx, j, j.to(final, msg, res))
+	if err != nil && !errors.Is(err, errNoChange) && final == StateDone {
+		final, msg = StateFailed, degrade+err.Error()
+		err = e.commit(ctx, j, j.to(final, msg, nil))
+	}
+	switch {
+	case err == nil:
+		return final
+	case errors.Is(err, errNoChange):
+		return ""
+	}
+	e.logger.Error("journal append failed", "job", j.id, "err", err)
+	j.mu.Lock()
+	e.endLocal(j, final, msg)
+	j.mu.Unlock()
+	return final
+}
+
+// finishLocked runs the side effects of the terminal state j.rec has
+// just entered, exactly once: finish timestamp, replay-cache fill for a
+// job that ran to done, dataset release, the done channel, the
+// serve.jobs_<state> counter, tenant accounting and the log line. node
+// names the stealer that reported the outcome ("" for local work).
+// Called only by commit and endLocal. Caller holds j.mu.
+func (e *engine) finishLocked(j *job, node string) {
+	st := j.rec.State
+	j.finished = time.Now() //lint:allow determinism job lifecycle timestamp is reporting metadata, not a pipeline input
+	if st == StateDone && !j.started.IsZero() {
+		// Fill the replay cache before done closes, so a client that
+		// waits for this job and resubmits the identical request always
+		// hits. A cache-hit job never started: its result is the cache's.
+		e.cacheFill(j.req, j.result)
+	}
+	if j.release != nil {
+		j.release()
+	}
+	close(j.done)
+	e.metrics.Counter("serve.jobs_" + string(st)).Inc()
+	e.accountFinish(j.tenant, st)
+	kv := []any{"job", j.id}
+	if node != "" {
+		kv = append(kv, "node", node)
+	}
+	if j.rec.Error != "" {
+		kv = append(kv, "err", j.rec.Error)
+	}
+	if st == StateFailed {
+		e.logger.Error("job failed", kv...)
+		return
+	}
+	e.logger.Info("job "+string(st), kv...)
+}
+
+// admit journals j's submission record. An unjournaled admission
+// poisons the job — ended locally, so the worker that dequeues it skips
+// it — and releases its idempotency claim, so a retry is not deduped
+// onto a job that was never durably admitted.
+func (e *engine) admit(ctx context.Context, j *job) error {
+	raw, err := json.Marshal(j.req)
+	if err == nil {
+		err = e.commit(ctx, j, func(durable.JobRecord) (durable.Record, error) {
+			return durable.Record{Type: durable.RecSubmit, JobID: j.id, IdemKey: j.req.IdempotencyKey, Request: raw}, nil
+		})
+	}
+	j.mu.Lock()
+	if err == nil {
+		j.rec.Request = nil // j.req holds it decoded; keep one copy
+		j.mu.Unlock()
 		return nil
 	}
-	return e.journal.Append(e.journalObs(ctx), durable.Record{
-		Type:    durable.RecState,
-		JobID:   id,
-		State:   string(st),
-		Error:   errMsg,
-		Attempt: attempt,
-		Node:    node,
-	})
+	e.endLocal(j, StateCancelled, "submission not journaled: "+err.Error())
+	j.mu.Unlock()
+	close(j.admitted)
+	if key := j.req.IdempotencyKey; key != "" {
+		e.mu.Lock()
+		e.idemDeleteLocked(key)
+		e.mu.Unlock()
+	}
+	return fmt.Errorf("serve: journal submission: %w", err)
 }
 
 // journalCheckpoint appends one completed identify level for the job.
@@ -334,7 +460,6 @@ func (e *engine) evictIdemLocked() {
 func (e *engine) Submit(ctx context.Context, req JobRequest, release func()) (JobStatus, error) {
 	j := &job{
 		req:      req,
-		state:    StateQueued,
 		enqueued: time.Now(), //lint:allow determinism job lifecycle timestamp is reporting metadata, not a pipeline input
 		metrics:  obs.NewRegistry(),
 		tracer:   obs.NewTracer(),
@@ -401,22 +526,8 @@ func (e *engine) Submit(ctx context.Context, req JobRequest, release func()) (Jo
 	e.mu.Unlock()
 	e.metrics.Counter(obs.WithLabel("serve.tenant_submitted", "tenant", tenant)).Inc()
 	e.traceIdentity(ctx, j)
-	if err := e.journalSubmit(ctx, j); err != nil {
-		// The job is already in the queue; poison it so the worker that
-		// dequeues it skips (terminal states are never run), and release
-		// its idempotency claim so a retry is not deduped onto a job
-		// that was never durably admitted.
-		j.mu.Lock()
-		j.finishLocked(StateCancelled, "submission not journaled: "+err.Error())
-		j.mu.Unlock()
-		close(j.admitted)
-		if req.IdempotencyKey != "" {
-			e.mu.Lock()
-			e.idemDeleteLocked(req.IdempotencyKey)
-			e.mu.Unlock()
-		}
-		e.metrics.Counter("serve.journal_errors").Inc()
-		return JobStatus{}, fmt.Errorf("serve: journal submission: %w", err)
+	if err := e.admit(ctx, j); err != nil {
+		return JobStatus{}, err
 	}
 	// The acknowledgment reports the job as admitted: once admitted is
 	// closed a worker may run it to completion before Submit returns.
@@ -440,45 +551,17 @@ func (e *engine) finishFromCache(ctx context.Context, j *job, raw json.RawMessag
 	sp.SetStr("job", j.id)
 	sp.SetStr("kind", j.req.Kind)
 	sp.End()
-	if err := e.journalSubmit(ctx, j); err != nil {
-		j.mu.Lock()
-		j.finishLocked(StateCancelled, "submission not journaled: "+err.Error())
-		j.mu.Unlock()
-		close(j.admitted)
-		if key := j.req.IdempotencyKey; key != "" {
-			e.mu.Lock()
-			e.idemDeleteLocked(key)
-			e.mu.Unlock()
-		}
-		e.metrics.Counter("serve.journal_errors").Inc()
-		return fmt.Errorf("serve: journal submission: %w", err)
+	if err := e.admit(ctx, j); err != nil {
+		return err
 	}
-	if err := e.journalState(ctx, j.id, StateDone, "", 0); err != nil {
-		e.metrics.Counter("serve.journal_errors").Inc()
-		msg := "cached result not journaled: " + err.Error()
-		if j2 := e.journalState(ctx, j.id, StateFailed, msg, 0); j2 != nil {
-			e.logger.Error("journal append failed", "job", j.id, "err", j2)
-		}
-		j.mu.Lock()
-		j.finishLocked(StateFailed, msg)
-		j.mu.Unlock()
-		close(j.admitted)
-		e.metrics.Counter("serve.jobs_submitted").Inc()
-		e.accountFinish(j.tenant, StateFailed)
-		e.metrics.Counter("serve.jobs_failed").Inc()
+	defer close(j.admitted)
+	e.metrics.Counter("serve.jobs_submitted").Inc()
+	if e.finish(ctx, j, StateDone, "", raw, "cached result not journaled: ") != StateDone {
 		return nil
 	}
-	j.mu.Lock()
-	j.result = raw
-	j.finishLocked(StateDone, "")
-	j.mu.Unlock()
-	close(j.admitted)
 	e.queue.recordCacheHit(j.tenant)
-	e.metrics.Counter("serve.jobs_submitted").Inc()
 	e.metrics.Counter("serve.cache_hits").Inc()
 	e.metrics.Counter(obs.WithLabel("serve.tenant_cache_hits", "tenant", j.tenant)).Inc()
-	e.metrics.Counter("serve.jobs_done").Inc()
-	e.logger.Info("job served from cache", "job", j.id, "kind", j.req.Kind, "tenant", j.tenant)
 	return nil
 }
 
@@ -507,14 +590,7 @@ func (e *engine) accountFinish(tenant string, final State) {
 		tenant = DefaultTenant
 	}
 	e.queue.recordOutcome(tenant, final)
-	switch final {
-	case StateDone:
-		e.metrics.Counter(obs.WithLabel("serve.tenant_done", "tenant", tenant)).Inc()
-	case StateFailed:
-		e.metrics.Counter(obs.WithLabel("serve.tenant_failed", "tenant", tenant)).Inc()
-	case StateCancelled:
-		e.metrics.Counter(obs.WithLabel("serve.tenant_cancelled", "tenant", tenant)).Inc()
-	}
+	e.metrics.Counter(obs.WithLabel("serve.tenant_"+string(final), "tenant", tenant)).Inc()
 }
 
 // retryAfter derives the Retry-After hint for a full-queue rejection
@@ -593,24 +669,22 @@ func (e *engine) Cancel(ctx context.Context, id string) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	j.mu.Lock()
-	j.cancelWant = true
-	switch j.state {
-	case StateQueued:
-		//lint:allow heldcall j.mu held across the append on purpose: check-journal-finish must be atomic or a worker can dequeue the job mid-cancellation
-		if jerr := e.journalState(ctx, j.id, StateCancelled, "cancelled while queued", j.attempts); jerr != nil {
-			j.mu.Unlock()
-			e.metrics.Counter("serve.journal_errors").Inc()
-			return JobStatus{}, fmt.Errorf("serve: journal cancellation: %w", jerr)
+	<-j.admitted // a job is cancellable once its submission is journaled
+	err = e.commit(ctx, j, func(cur durable.JobRecord) (durable.Record, error) {
+		j.cancelWant = true
+		if cur.State != StateQueued {
+			if cur.State == StateRunning && j.cancel != nil {
+				j.cancel()
+			}
+			return durable.Record{}, errNoChange
 		}
-		// The worker that eventually dequeues it sees the terminal
-		// state and skips.
-		j.finishLocked(StateCancelled, "cancelled while queued")
-		e.accountFinish(j.tenant, StateCancelled)
-	case StateRunning:
-		j.cancel()
+		// The worker that eventually dequeues it finds it terminal and
+		// skips.
+		return j.record(StateCancelled, "cancelled while queued", cur.Attempt), nil
+	})
+	if err != nil && !errors.Is(err, errNoChange) {
+		return JobStatus{}, fmt.Errorf("serve: journal cancellation: %w", err)
 	}
-	j.mu.Unlock()
 	return j.status(), nil
 }
 
@@ -641,15 +715,13 @@ func (e *engine) restore(j *job) error {
 		}
 		j.tracer.SetIdentity(e.node, traceID)
 	}
-	if !j.state.Terminal() {
+	if !j.rec.State.Terminal() {
 		// Recovery re-admits already-accepted work: it bypasses the token
 		// bucket (the quota was charged in the job's first life) but still
 		// respects the per-tenant depth bound.
 		if _, _, err := e.queue.push(j, true); err != nil {
 			return fmt.Errorf("restore %s: %w", j.id, err)
 		}
-	} else {
-		j.tenant = e.queue.canonical(tenantOf(j.req))
 	}
 	e.jobs[j.id] = j
 	e.order = append(e.order, j.id)
@@ -680,30 +752,25 @@ func (e *engine) StealQueued(ctx context.Context, node string) (*job, int, error
 		}
 		e.metrics.Gauge("serve.jobs_queued").Set(float64(e.queue.len()))
 		<-j.admitted
-		j.mu.Lock()
-		if j.state.Terminal() { // cancelled while queued: already finished
-			j.mu.Unlock()
-			continue
+		var attempt int
+		err := e.commit(ctx, j, func(cur durable.JobRecord) (durable.Record, error) {
+			attempt = cur.Attempt
+			rec := j.record(StateRunning, "", cur.Attempt)
+			rec.Node = node
+			return rec, nil
+		})
+		if errors.Is(err, errNoChange) {
+			continue // cancelled while queued: already finished
 		}
-		attempt := j.attempts
-		j.mu.Unlock()
-		if err := e.journalStateNode(ctx, j.id, StateRunning, "", attempt, node); err != nil {
+		if err != nil {
 			// Same contract as a local start: a job whose start cannot be
 			// journaled must not run anywhere.
-			e.metrics.Counter("serve.journal_errors").Inc()
 			j.mu.Lock()
-			j.finishLocked(StateFailed, "steal start not journaled: "+err.Error())
+			e.endLocal(j, StateFailed, "steal start not journaled: "+err.Error())
 			j.mu.Unlock()
-			e.metrics.Counter("serve.jobs_failed").Inc()
-			e.accountFinish(j.tenant, StateFailed)
 			return nil, 0, fmt.Errorf("serve: journal steal: %w", err)
 		}
 		j.mu.Lock()
-		if j.state.Terminal() { // cancelled in the journaling window
-			j.mu.Unlock()
-			continue
-		}
-		j.state = StateRunning
 		j.started = time.Now() //lint:allow determinism job lifecycle timestamp is reporting metadata, not a pipeline input
 		j.mu.Unlock()
 		// The hand-off is a leader-side span: the stitched trace shows
@@ -726,9 +793,12 @@ func (e *engine) StealQueued(ctx context.Context, node string) (*job, int, error
 // not the job's current one is ErrStaleAttempt: the term alone cannot
 // fence a stealer that outlives its steal timeout, because the
 // re-queued copy runs under the same leadership — the attempt number
-// is the per-life fence. spans, when non-empty, are the stealer's
-// span tree, grafted into the job's tracer so GET /jobs/{id}/trace
-// serves one stitched timeline spanning both nodes.
+// is the per-life fence. commit holds j.mu across the fence check and
+// the append, so a RequeueStolen cannot re-queue the job between them
+// and have this result finish the wrong life. spans, when non-empty,
+// are the stealer's span tree, grafted into the job's tracer (before
+// done closes) so GET /jobs/{id}/trace serves one stitched timeline
+// spanning both nodes.
 func (e *engine) CompleteStolen(ctx context.Context, id string, final State, errMsg string, result json.RawMessage, node string, attempt int, spans []obs.SpanSnapshot) error {
 	if !final.Terminal() {
 		return fmt.Errorf("serve: stolen job %s reported non-terminal state %q", id, final)
@@ -737,105 +807,82 @@ func (e *engine) CompleteStolen(ctx context.Context, id string, final State, err
 	if err != nil {
 		return err
 	}
-	// j.mu is held across the fence check, the journal append, and the
-	// state change (the same discipline as Cancel): a RequeueStolen
-	// interleaving between check and append would re-queue the job under
-	// a new attempt and this result would then finish the wrong life.
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	err = e.commit(ctx, j, func(cur durable.JobRecord) (durable.Record, error) {
+		if cur.State.Terminal() {
+			return durable.Record{}, errNoChange
+		}
+		if attempt != cur.Attempt {
+			e.metrics.Counter("serve.steal_results_stale").Inc()
+			e.logger.Warn("dropped stale stolen-job result",
+				"job", id, "node", node, "reported_attempt", attempt, "current_attempt", cur.Attempt)
+			return durable.Record{}, fmt.Errorf("%w: job %s is on attempt %d, result reports attempt %d",
+				ErrStaleAttempt, id, cur.Attempt, attempt)
+		}
+		if len(spans) > 0 {
+			// Stitch the stealer's spans under the trace root: remote work
+			// joins the local timeline, attributed to the node that ran it.
+			j.tracer.Graft(0, node, spans)
+			e.metrics.Counter("serve.trace_spans_grafted").Add(int64(len(spans)))
+		}
+		if final == StateDone && len(result) > 0 {
+			j.result = result
+		}
+		rec := j.record(final, errMsg, attempt)
+		rec.Node = node
+		return rec, nil
+	})
+	if errors.Is(err, errNoChange) {
 		return nil
 	}
-	if attempt != j.attempts {
-		e.metrics.Counter("serve.steal_results_stale").Inc()
-		e.logger.Warn("dropped stale stolen-job result",
-			"job", id, "node", node, "reported_attempt", attempt, "current_attempt", j.attempts)
-		return fmt.Errorf("%w: job %s is on attempt %d, result reports attempt %d",
-			ErrStaleAttempt, id, j.attempts, attempt)
+	if err != nil && !errors.Is(err, ErrStaleAttempt) {
+		return fmt.Errorf("serve: journal steal result: %w", err)
 	}
-	//lint:allow heldcall j.mu covers fence check + append + state change (the comment above); releasing for the fsync would reopen the RequeueStolen race
-	if jerr := e.journalStateNode(ctx, id, final, errMsg, attempt, node); jerr != nil {
-		e.metrics.Counter("serve.journal_errors").Inc()
-		return fmt.Errorf("serve: journal steal result: %w", jerr)
-	}
-	if len(spans) > 0 {
-		// Stitch the stealer's spans under the trace root: remote work
-		// joins the local timeline, attributed to the node that ran it.
-		j.tracer.Graft(0, node, spans)
-		e.metrics.Counter("serve.trace_spans_grafted").Add(int64(len(spans)))
-	}
-	switch final {
-	case StateDone:
-		if len(result) > 0 {
-			j.result = result
-			e.cacheFill(j.req, result)
-		}
-		j.finishLocked(StateDone, "")
-		e.metrics.Counter("serve.jobs_done").Inc()
-		e.accountFinish(j.tenant, StateDone)
-		e.logger.Info("stolen job done", "job", id, "node", node)
-	case StateCancelled:
-		j.finishLocked(StateCancelled, errMsg)
-		e.metrics.Counter("serve.jobs_cancelled").Inc()
-		e.accountFinish(j.tenant, StateCancelled)
-	default:
-		j.finishLocked(StateFailed, errMsg)
-		e.metrics.Counter("serve.jobs_failed").Inc()
-		e.accountFinish(j.tenant, StateFailed)
-		e.logger.Error("stolen job failed", "job", id, "node", node, "err", errMsg)
-	}
-	return nil
+	return err
 }
 
 // RequeueStolen returns a stolen job to the queue after its stealer
 // died without reporting, burning one attempt — the same budget a
-// crash recovery charges. A spent budget fails the job. j.mu is held
-// across the state check, the journal append, and the attempt bump, so
-// a late CompleteStolen cannot slip between them: it either lands
-// first (and the requeue sees a terminal job) or arrives after the
-// bump and is fenced off by its stale attempt.
+// crash recovery charges. A spent budget fails the job. commit holds
+// j.mu across the state check, the journal append, and the attempt
+// bump, so a late CompleteStolen cannot slip between them: it either
+// lands first (and the requeue sees a terminal job) or arrives after
+// the bump and is fenced off by its stale attempt.
 func (e *engine) RequeueStolen(ctx context.Context, id string) error {
 	j, err := e.Job(id)
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	if j.state != StateRunning {
-		st := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("serve: requeue stolen job %s: state is %s, not running", id, st)
-	}
-	attempt := j.attempts + 1
-	if e.maxAttempts > 0 && attempt >= e.maxAttempts {
-		reason := fmt.Sprintf("stealer died; attempt budget exhausted (%d/%d)", attempt, e.maxAttempts)
-		if jerr := e.journalState(ctx, id, StateFailed, reason, attempt); jerr != nil {
-			j.mu.Unlock()
-			e.metrics.Counter("serve.journal_errors").Inc()
-			return fmt.Errorf("serve: journal steal failure: %w", jerr)
+	var requeued bool
+	var refused error
+	err = e.commit(ctx, j, func(cur durable.JobRecord) (durable.Record, error) {
+		if cur.State != StateRunning {
+			refused = fmt.Errorf("serve: requeue stolen job %s: state is %s, not running", id, cur.State)
+			return durable.Record{}, refused
 		}
-		j.finishLocked(StateFailed, reason)
-		j.mu.Unlock()
-		e.metrics.Counter("serve.jobs_failed").Inc()
-		e.accountFinish(j.tenant, StateFailed)
+		attempt := cur.Attempt + 1
+		if e.maxAttempts > 0 && attempt >= e.maxAttempts {
+			return j.record(StateFailed, fmt.Sprintf("stealer died; attempt budget exhausted (%d/%d)", attempt, e.maxAttempts), attempt), nil
+		}
+		requeued = true
+		j.started = time.Time{}
+		return j.record(StateQueued, "", attempt), nil
+	})
+	if err != nil {
+		if errors.Is(err, refused) {
+			return err
+		}
+		return fmt.Errorf("serve: journal steal requeue: %w", err)
+	}
+	if !requeued {
 		return nil
 	}
-	if jerr := e.journalState(ctx, id, StateQueued, "", attempt); jerr != nil {
-		j.mu.Unlock()
-		e.metrics.Counter("serve.journal_errors").Inc()
-		return fmt.Errorf("serve: journal steal requeue: %w", jerr)
-	}
-	j.state = StateQueued
-	j.attempts = attempt
-	j.started = time.Time{}
-	j.mu.Unlock()
 	// Re-admission bypasses the token bucket: the job's quota was
 	// charged at its original submission.
 	if _, _, qerr := e.queue.push(j, true); qerr != nil {
-		j.mu.Lock()
-		j.finishLocked(StateFailed, "requeue after stealer death: queue full")
-		j.mu.Unlock()
-		e.metrics.Counter("serve.jobs_failed").Inc()
-		e.accountFinish(j.tenant, StateFailed)
+		// The job cannot wait in a full queue, so it fails — journaled
+		// like any other outcome, so a restart does not re-run a job
+		// whose client was told it failed.
+		e.finish(ctx, j, StateFailed, "requeue after stealer death: queue full", nil, "")
 		return fmt.Errorf("%w: requeue of stolen job %s", ErrQueueFull, id)
 	}
 	return nil
@@ -851,20 +898,6 @@ func (e *engine) setSeq(n int) {
 	}
 }
 
-// finishLocked moves the job to a terminal state. Caller holds j.mu.
-func (j *job) finishLocked(s State, errMsg string) {
-	if j.state.Terminal() {
-		return
-	}
-	j.state = s
-	j.errMsg = errMsg
-	j.finished = time.Now() //lint:allow determinism job lifecycle timestamp is reporting metadata, not a pipeline input
-	if j.release != nil {
-		j.release()
-	}
-	close(j.done)
-}
-
 // counts returns the number of non-terminal jobs by state.
 func (e *engine) counts() (queued, running int) {
 	e.mu.Lock()
@@ -875,7 +908,7 @@ func (e *engine) counts() (queued, running int) {
 	e.mu.Unlock()
 	for _, j := range jobs {
 		j.mu.Lock()
-		switch j.state {
+		switch j.rec.State {
 		case StateQueued:
 			queued++
 		case StateRunning:
@@ -905,33 +938,21 @@ func (e *engine) runOne(baseCtx context.Context, j *job) {
 	// it journals), so this job's records always follow its admission
 	// record and a poisoned submission is seen as terminal below.
 	<-j.admitted
-	j.mu.Lock()
-	if j.state.Terminal() { // cancelled while queued
-		j.mu.Unlock()
-		return
-	}
-	attempt := j.attempts
-	j.mu.Unlock()
 
 	// Journal the start before the job observably runs. A job whose
 	// start cannot be journaled must not run: its work would be
 	// invisible to recovery, so it fails here instead.
-	if jerr := e.journalState(baseCtx, j.id, StateRunning, "", attempt); jerr != nil {
-		e.metrics.Counter("serve.journal_errors").Inc()
+	err := e.commit(baseCtx, j, j.to(StateRunning, "", nil))
+	if errors.Is(err, errNoChange) {
+		return // cancelled while queued
+	}
+	if err != nil {
 		j.mu.Lock()
-		j.finishLocked(StateFailed, "start not journaled: "+jerr.Error())
+		e.endLocal(j, StateFailed, "start not journaled: "+err.Error())
 		j.mu.Unlock()
-		e.metrics.Counter("serve.jobs_failed").Inc()
-		e.accountFinish(j.tenant, StateFailed)
-		e.logger.Error("job failed", "job", j.id, "err", jerr)
 		return
 	}
 
-	j.mu.Lock()
-	if j.state.Terminal() { // cancelled in the journaling window
-		j.mu.Unlock()
-		return
-	}
 	timeout := e.jobTimeout
 	if j.req.TimeoutMS > 0 {
 		timeout = time.Duration(j.req.TimeoutMS) * time.Millisecond
@@ -946,11 +967,15 @@ func (e *engine) runOne(baseCtx context.Context, j *job) {
 	} else {
 		ctx, cancel = context.WithCancel(baseCtx)
 	}
-	j.state = StateRunning
+	defer cancel()
+	j.mu.Lock()
 	j.started = time.Now() //lint:allow determinism job lifecycle timestamp is reporting metadata, not a pipeline input
 	j.cancel = cancel
+	if j.cancelWant {
+		cancel() // a Cancel that found the job running before its context existed
+	}
+	attempt := j.rec.Attempt
 	j.mu.Unlock()
-	defer cancel()
 
 	// The job's observability is private: its own registry (progress
 	// counters) and tracer (span tree), plus the server's logger.
@@ -985,46 +1010,8 @@ func (e *engine) runOne(baseCtx context.Context, j *job) {
 	default:
 		final, msg = StateFailed, err.Error()
 	}
-	// Journal the outcome before it becomes observable. A completed job
-	// whose "done" cannot be journaled is not acknowledged as done —
-	// recovery would re-run it and a client could see the same job
-	// finish twice — so it degrades to failed with the journal error.
-	if jerr := e.journalState(ctx, j.id, final, msg, attempt); jerr != nil {
-		e.metrics.Counter("serve.journal_errors").Inc()
-		if final == StateDone {
-			final, msg, res = StateFailed, "result not journaled: "+jerr.Error(), nil
-			if j2 := e.journalState(ctx, j.id, final, msg, attempt); j2 != nil {
-				e.logger.Error("journal append failed", "job", j.id, "err", j2)
-			}
-		} else {
-			e.logger.Error("journal append failed", "job", j.id, "err", jerr)
-		}
-	}
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch final {
-	case StateDone:
-		j.result = res
-		// Fill the replay cache before the done channel closes, so a
-		// client that waits for this job and immediately resubmits the
-		// identical request always hits.
-		e.cacheFill(j.req, res)
-		j.finishLocked(StateDone, "")
-		e.metrics.Counter("serve.jobs_done").Inc()
-		e.accountFinish(j.tenant, StateDone)
-		e.logger.Info("job done", "job", j.id)
-	case StateCancelled:
-		j.finishLocked(StateCancelled, msg)
-		e.metrics.Counter("serve.jobs_cancelled").Inc()
-		e.accountFinish(j.tenant, StateCancelled)
-		e.logger.Info("job cancelled", "job", j.id, "err", msg)
-	default:
-		j.finishLocked(StateFailed, msg)
-		e.metrics.Counter("serve.jobs_failed").Inc()
-		e.accountFinish(j.tenant, StateFailed)
-		e.logger.Error("job failed", "job", j.id, "err", msg)
-	}
+	// Journal the outcome before it becomes observable.
+	e.finish(ctx, j, final, msg, res, "result not journaled: ")
 }
 
 // logSlowJob names where a slow job's time went: when the run exceeds
@@ -1100,9 +1087,9 @@ func (e *engine) demote() int {
 	for _, j := range jobs {
 		j.mu.Lock()
 		switch {
-		case j.state.Terminal():
+		case j.rec.State.Terminal():
 			// History only; nothing to unwind.
-		case j.state == StateRunning && j.cancel != nil:
+		case j.rec.State == StateRunning && j.cancel != nil:
 			// The worker unwinds via its cancelled context. Its final
 			// append hits the fence, so the outcome degrades to a local
 			// failure and can never be acked from this deposed node.
@@ -1110,13 +1097,14 @@ func (e *engine) demote() int {
 			j.cancel()
 			dropped++
 		default:
-			// Queued, mid-admission, or stolen-out with no local worker:
-			// finish locally without a journal record. The fence forbids
-			// the append, and the record would sit on a superseded suffix
-			// anyway — the new leader's log decides what became of the job.
-			//lint:allow journalgate deposed-node demotion is local-only by design: the journal is fenced and the new leader's replicated log supersedes these jobs' state
-			j.finishLocked(StateCancelled, "node demoted; rejoining the fleet")
-			e.accountFinish(j.tenant, StateCancelled)
+			// Queued, mid-admission, stolen-out with no local worker, or
+			// just started with its context not yet set (cancelWant stops
+			// that worker): finish locally without a journal record. The
+			// fence forbids the append, and the record would sit on a
+			// superseded suffix anyway — the new leader's log decides what
+			// became of the job.
+			j.cancelWant = true
+			e.endLocal(j, StateCancelled, "node demoted; rejoining the fleet")
 			dropped++
 		}
 		j.mu.Unlock()
@@ -1151,26 +1139,14 @@ func (e *engine) Shutdown(ctx context.Context) error {
 	// already cancelled while queued (still parked in a tenant FIFO) were
 	// finished and accounted then; skip them here.
 	for _, j := range e.queue.close() {
-		j.mu.Lock()
-		if j.state.Terminal() {
-			j.mu.Unlock()
-			continue
-		}
-		// Journal the cancellation before it becomes observable —
-		// Cancel's discipline, found missing here by journalgate:
-		// without the record, a crash after this drain re-queues (and
-		// re-runs) jobs whose submitters were already told "cancelled".
-		// Unlike Cancel we proceed on journal failure: the server is
-		// going away either way, and a loud error beats wedging
-		// shutdown on a failing disk.
-		if jerr := e.journalState(ctx, j.id, StateCancelled, "server shutting down", j.attempts); jerr != nil {
-			e.metrics.Counter("serve.journal_errors").Inc()
-			e.logger.Error("journal shutdown cancellation", "job", j.id, "err", jerr)
-		}
-		j.finishLocked(StateCancelled, "server shutting down")
-		j.mu.Unlock()
-		e.metrics.Counter("serve.jobs_cancelled").Inc()
-		e.accountFinish(j.tenant, StateCancelled)
+		<-j.admitted
+		// Journal the cancellation before it becomes observable: without
+		// the record, a crash after this drain re-queues (and re-runs)
+		// jobs whose submitters were already told "cancelled". Unlike
+		// Cancel we proceed on journal failure: the server is going away
+		// either way, and a loud error beats wedging shutdown on a
+		// failing disk.
+		e.finish(ctx, j, StateCancelled, "server shutting down", nil, "")
 	}
 	done := make(chan struct{})
 	go func() {

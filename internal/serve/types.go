@@ -49,11 +49,9 @@ type DatasetDetail struct {
 	Summary []AttrProfile `json:"summary"`
 }
 
-// State is a job's lifecycle state. The machine is:
-//
-//	queued ──▶ running ──▶ done
-//	   │          ├──────▶ failed
-//	   └──────────┴──────▶ cancelled
+// State is a job's lifecycle state. The machine is defined once, in
+// internal/durable: the engine changes a job's state only by journaling
+// a record and folding it through durable.JobRecord.Apply.
 //
 // queued → cancelled happens via DELETE /jobs/{id} before a worker
 // picks the job up (or at shutdown); running → cancelled when the
@@ -62,25 +60,18 @@ type DatasetDetail struct {
 // per-job deadline. Terminal states (done/failed/cancelled) never
 // transition again.
 //
-// One state exists only in durable journals: a job found running when
-// a crashed server's journal is replayed is recorded as interrupted,
-// then immediately re-queued (attempt counter bumped) or failed once
-// its attempt budget is spent. A live engine never reports it.
-type State string
+// interrupted exists only in journals: the engine shows a recovered
+// interrupted job as queued, attempt bumped, until a worker takes it.
+type State = durable.State
 
 const (
-	StateQueued      State = "queued"
-	StateRunning     State = "running"
-	StateDone        State = "done"
-	StateFailed      State = "failed"
-	StateCancelled   State = "cancelled"
-	StateInterrupted State = "interrupted"
+	StateQueued      = durable.StateQueued
+	StateRunning     = durable.StateRunning
+	StateDone        = durable.StateDone
+	StateFailed      = durable.StateFailed
+	StateCancelled   = durable.StateCancelled
+	StateInterrupted = durable.StateInterrupted
 )
-
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
 
 // JobRequest is the body of POST /jobs. Kind selects the pipeline
 // stage; the remaining fields parameterize it and are validated

@@ -2,10 +2,11 @@
 # bench.sh — run the root benchmark suite (bench_test.go: every paper
 # figure in quick mode plus the identify/remedy micro-benchmarks) and
 # the layer benchmarks of internal/ml (one fit per model),
-# internal/core (preload and optimized identify) and internal/divexplorer
-# (one FPR audit of the Adult test split), and write the
-# machine-readable BENCH_*.json artifact that tracks the repo's perf
-# trajectory across PRs. Each row records its package.
+# internal/core (preload and optimized identify), internal/divexplorer
+# (one FPR audit of the Adult test split) and internal/durable (Reduce
+# of a 10k-record journal, one journal append with and without fsync),
+# and write the machine-readable BENCH_*.json artifact that tracks the
+# repo's perf trajectory across PRs. Each row records its package.
 #
 # Usage:
 #   scripts/bench.sh BENCH_8.json           # default -benchtime 5x
@@ -30,7 +31,7 @@ benchtime="${BENCHTIME:-5x}"
 
 echo "== go test -bench . -benchtime $benchtime (writing $out)"
 go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count 1 \
-    . ./internal/ml/ ./internal/core/ ./internal/divexplorer/ \
+    . ./internal/ml/ ./internal/core/ ./internal/divexplorer/ ./internal/durable/ \
     | tee /dev/stderr \
     | go run scripts/benchjson.go > "$out"
 echo "== wrote $out"

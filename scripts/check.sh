@@ -15,23 +15,19 @@ echo "== go vet ./..."
 go vet ./...
 
 echo "== remedylint (make lint)"
-# The typed replacement for the old grep panic gate: panicgate,
-# determinism, ctxfirst, errdiscard, and obspair over the whole module.
-# Sanctioned exceptions (remedyctl's blank net/http/pprof import for
-# the opt-in -pprof server, say) are waived inline with //lint:allow
-# comments; the baseline file is empty and must stay that way.
+# Every analyzer over the whole module: the typed replacement for the
+# old grep panic gate (panicgate, determinism, ctxfirst, errdiscard,
+# obspair) and the call-graph-backed concurrency/durability analyzers
+# — lockorder (no lock-acquisition cycles), heldcall (no blocking
+# round-trip/fsync/unbuffered-send while a mutex is held, unless waived
+# with the design reason inline), goroleak (every goroutine has a
+# cancellation path) and journalgate (every job state transition in
+# serve/cluster journals before acknowledging). Sanctioned exceptions
+# (remedyctl's blank net/http/pprof import for the opt-in -pprof
+# server, say) are waived inline with //lint:allow comments; the
+# baseline file is empty and must stay that way, so any new finding
+# fails the gate.
 go run ./cmd/remedylint ./...
-
-echo "== remedylint: interprocedural concurrency/durability analyzers"
-# The call-graph-backed analyzers gate the repo's concurrency and
-# durability contracts directly: lockorder (no lock-acquisition
-# cycles — the applyMu/mu inversion class), heldcall (no blocking
-# round-trip/fsync/unbuffered-send while a mutex is held, unless
-# waived with the design reason inline), goroleak (every goroutine
-# has a cancellation path), journalgate (every job state transition
-# in serve/cluster journals before acknowledging). Any new finding
-# from these fails the gate.
-go run ./cmd/remedylint -analyzers lockorder,heldcall,goroleak,journalgate ./...
 
 echo "== go test -race -count=1 ./..."
 # Every package under the race detector, uncached: the obs, serve,
