@@ -135,6 +135,7 @@ fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadCSV -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzJournalReplay -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzHierarchyCounts -fuzztime 30s
+	$(GO) test ./internal/pattern/ -fuzz FuzzGroupRows -fuzztime 30s
 
 # check is the CI gate; its step list lives in scripts/check.sh.
 check:

@@ -15,7 +15,6 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/ml"
 	"repro/internal/obs"
-	"repro/internal/remedy"
 	"repro/internal/synth"
 )
 
@@ -100,8 +99,9 @@ func BenchmarkFig9dRemedyBySize(b *testing.B) {
 
 // --- Component micro-benchmarks -------------------------------------
 // These isolate the primitives behind the figures: the naïve vs
-// optimized identification gap (Fig. 9a's mechanism), the remedy
-// techniques (Fig. 9b/9d), and the shared counting substrate.
+// optimized identification gap (Fig. 9a's mechanism) and the
+// classifiers. The remedy techniques (Fig. 9b/9d) have their own
+// benchmark in internal/remedy.
 
 func benchData(b *testing.B) *dataset.Dataset {
 	b.Helper()
@@ -148,24 +148,6 @@ func BenchmarkIdentifyOptimized(b *testing.B) {
 		}
 	}
 	reportIdentifyWork(b, m)
-}
-
-func BenchmarkRemedy(b *testing.B) {
-	d := benchData(b)
-	for _, tech := range remedy.Techniques {
-		b.Run(string(tech), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := remedy.Apply(d, remedy.Options{
-					Identify:  core.Config{TauC: 0.1, T: 1},
-					Technique: tech,
-					Seed:      benchSeed,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkClassifiers(b *testing.B) {

@@ -20,8 +20,6 @@
 package baselines
 
 import (
-	"sort"
-
 	"repro/internal/dataset"
 	"repro/internal/pattern"
 )
@@ -37,41 +35,22 @@ type Preprocessor interface {
 	Apply(d *dataset.Dataset) (*dataset.Dataset, error)
 }
 
-// leafCell is one leaf subgroup: its pattern key and the indices of
-// its instances.
-type leafCell struct {
-	key  uint64
-	rows []int
-}
-
 // leafCells groups instance indices by their full protected-attribute
-// assignment (the leaf subgroups), in leaf-key order so that callers
-// drawing from an RNG cell by cell repeat under one seed. The shared
-// substrate of the reweighting-family baselines.
-func leafCells(d *dataset.Dataset, sp *pattern.Space) []leafCell {
-	byKey := make(map[uint64][]int)
-	for i, row := range d.Rows {
-		var k uint64
-		for s, a := range sp.AttrIdx {
-			k |= uint64(row[a]+1) << uint(5*s)
-		}
-		byKey[k] = append(byKey[k], i)
-	}
-	cells := make([]leafCell, 0, len(byKey))
-	for k, rows := range byKey {
-		cells = append(cells, leafCell{k, rows})
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].key < cells[j].key })
-	return cells
+// assignment (the leaf subgroups): the grouping of the hierarchy's leaf
+// node, whose regions come in Key order, so callers drawing from an RNG
+// cell by cell repeat under one seed. The shared substrate of the
+// reweighting-family baselines.
+func leafCells(d *dataset.Dataset, sp *pattern.Space) *pattern.Groups {
+	return sp.GroupRows(d, 1<<uint(sp.Dim())-1)
 }
 
 // splitByLabel partitions instance indices by their label.
-func splitByLabel(d *dataset.Dataset, idx []int) (pos, neg []int) {
+func splitByLabel(d *dataset.Dataset, idx []int32) (pos, neg []int) {
 	for _, i := range idx {
 		if d.Labels[i] == 1 {
-			pos = append(pos, i)
+			pos = append(pos, int(i))
 		} else {
-			neg = append(neg, i)
+			neg = append(neg, int(i))
 		}
 	}
 	return pos, neg

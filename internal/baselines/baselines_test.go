@@ -55,12 +55,14 @@ func cellWeightShares(t *testing.T, d *dataset.Dataset) map[string][2]float64 {
 		t.Fatal(err)
 	}
 	out := map[string][2]float64{}
-	for _, cell := range leafCells(d, sp) {
+	cells := leafCells(d, sp)
+	for c := 0; c < cells.Len(); c++ {
+		key, rows := cells.Region(c)
 		var byClass [2]float64
-		for _, i := range cell.rows {
-			byClass[d.Labels[i]] += d.Weight(i)
+		for _, i := range rows {
+			byClass[d.Labels[i]] += d.Weight(int(i))
 		}
-		out[sp.String(sp.DecodeKey(cell.key))] = byClass
+		out[sp.String(sp.DecodeKey(key))] = byClass
 	}
 	return out
 }
@@ -87,13 +89,15 @@ func TestReweightingEqualizesClassDistribution(t *testing.T) {
 	}
 	// Weight mass per subgroup stays equal to the subgroup size.
 	sp, _ := pattern.NewSpace(d.Schema)
-	for _, cell := range leafCells(out, sp) {
+	cells := leafCells(out, sp)
+	for c := 0; c < cells.Len(); c++ {
+		key, rows := cells.Region(c)
 		var mass float64
-		for _, i := range cell.rows {
-			mass += out.Weight(i)
+		for _, i := range rows {
+			mass += out.Weight(int(i))
 		}
-		if math.Abs(mass-float64(len(cell.rows))) > 1e-6 {
-			t.Fatalf("cell %s mass %v != size %d", sp.String(sp.DecodeKey(cell.key)), mass, len(cell.rows))
+		if math.Abs(mass-float64(len(rows))) > 1e-6 {
+			t.Fatalf("cell %s mass %v != size %d", sp.String(sp.DecodeKey(key)), mass, len(rows))
 		}
 	}
 }
@@ -257,14 +261,16 @@ func TestFairSMOTEBalancesCells(t *testing.T) {
 		t.Fatal("Fair-SMOTE should add synthetic rows")
 	}
 	sp, _ := pattern.NewSpace(out.Schema)
-	for _, cell := range leafCells(out, sp) {
-		pos, neg := splitByLabel(out, cell.rows)
+	cells := leafCells(out, sp)
+	for c := 0; c < cells.Len(); c++ {
+		key, rows := cells.Region(c)
+		pos, neg := splitByLabel(out, rows)
 		if len(pos) == 0 || len(neg) == 0 {
 			continue
 		}
 		if len(pos) != len(neg) {
 			t.Fatalf("cell %s: %d pos vs %d neg after Fair-SMOTE",
-				sp.String(sp.DecodeKey(cell.key)), len(pos), len(neg))
+				sp.String(sp.DecodeKey(key)), len(pos), len(neg))
 		}
 	}
 	if err := out.Validate(); err != nil {
@@ -295,8 +301,10 @@ func TestFairSMOTESyntheticRowsStayInCell(t *testing.T) {
 	// parents share them).
 	sp, _ := pattern.NewSpace(d.Schema)
 	real := map[uint64]bool{}
-	for _, cell := range leafCells(d, sp) {
-		real[cell.key] = true
+	cells := leafCells(d, sp)
+	for c := 0; c < cells.Len(); c++ {
+		key, _ := cells.Region(c)
+		real[key] = true
 	}
 	for i := d.Len(); i < out.Len(); i++ {
 		var k uint64

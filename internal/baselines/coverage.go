@@ -110,8 +110,15 @@ func (c Coverage) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 			marginals[a][i] = row[a]
 		}
 	}
+	// One grouping per MUP mask finds every MUP's rows.
+	groups := make(map[uint32]*pattern.Groups)
 	for _, p := range mups {
-		members := sp.RowsIn(d, p)
+		g := groups[p.Mask()]
+		if g == nil {
+			g = sp.GroupRows(d, p.Mask())
+			groups[p.Mask()] = g
+		}
+		members := g.Rows(p)
 		need := threshold - len(members)
 		for k := 0; k < need; k++ {
 			var row []int32

@@ -33,9 +33,11 @@ func (FairBalance) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 	}
 	out := d.Clone()
 	out.EnsureWeights()
-	for _, cell := range leafCells(d, sp) {
-		pos, neg := splitByLabel(d, cell.rows)
-		g := float64(len(cell.rows))
+	cells := leafCells(d, sp)
+	for c := 0; c < cells.Len(); c++ {
+		_, rows := cells.Region(c)
+		pos, neg := splitByLabel(d, rows)
+		g := float64(len(rows))
 		for _, members := range [][]int{neg, pos} {
 			if len(members) == 0 {
 				continue

@@ -46,8 +46,10 @@ func (f FairSMOTE) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 	}
 	rng := stats.NewRNG(f.Seed)
 	out := d.Clone()
-	for _, leaf := range leafCells(d, sp) {
-		pos, neg := splitByLabel(d, leaf.rows)
+	cells := leafCells(d, sp)
+	for c := 0; c < cells.Len(); c++ {
+		_, rows := cells.Region(c)
+		pos, neg := splitByLabel(d, rows)
 		target := len(pos)
 		if len(neg) > target {
 			target = len(neg)

@@ -38,9 +38,11 @@ func (Reweighting) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 	out.EnsureWeights()
 	n := float64(d.Len())
 	classN := [2]float64{float64(d.Len() - d.PositiveCount()), float64(d.PositiveCount())}
-	for _, cell := range leafCells(d, sp) {
-		pos, neg := splitByLabel(d, cell.rows)
-		g := float64(len(cell.rows))
+	cells := leafCells(d, sp)
+	for c := 0; c < cells.Len(); c++ {
+		_, rows := cells.Region(c)
+		pos, neg := splitByLabel(d, rows)
+		g := float64(len(rows))
 		byLabel := [2][]int{neg, pos}
 		for y, members := range byLabel {
 			if len(members) == 0 {

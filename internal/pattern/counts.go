@@ -160,17 +160,6 @@ func Totals(d *dataset.Dataset) Counts {
 	return Counts{N: d.Len(), Pos: d.PositiveCount()}
 }
 
-// RowsIn returns the indices of the dataset rows matched by p.
-func (sp *Space) RowsIn(d *dataset.Dataset, p Pattern) []int {
-	var idx []int
-	for i, row := range d.Rows {
-		if sp.MatchRow(p, row) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // CountPattern counts one region by scanning the dataset; used by tests
 // as the brute-force oracle and by callers needing a single region.
 func (sp *Space) CountPattern(d *dataset.Dataset, p Pattern) Counts {

