@@ -110,13 +110,18 @@ func FuzzGroupRows(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// One Groups regrouped node after node must match a fresh one.
+		var reused Groups
 		for _, mask := range sp.Masks() {
-			g := checkGroups(t, sp, d, mask)
-			sp.EnumerateNode(mask, func(p Pattern) {
-				if got, want := g.Rows(p), sp.RowsIn(d, p); !equalRows(got, want) {
-					t.Fatalf("mask %#x region %v: rows %v, scan %v", mask, p, got, want)
-				}
-			})
+			reused.Regroup(sp, d, mask)
+			for _, g := range []*Groups{sp.GroupRows(d, mask), &reused} {
+				checkGroups(t, sp, d, mask, g)
+				sp.EnumerateNode(mask, func(p Pattern) {
+					if got, want := g.Rows(p), sp.RowsIn(d, p); !equalRows(got, want) {
+						t.Fatalf("mask %#x region %v: rows %v, scan %v", mask, p, got, want)
+					}
+				})
+			}
 		}
 	})
 }
@@ -148,14 +153,13 @@ func TestGroupRowsWideLeaf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkGroups(t, sp, d, 1<<MaxDim-1)
+	checkGroups(t, sp, d, 1<<MaxDim-1, sp.GroupRows(d, 1<<MaxDim-1))
 }
 
-// checkGroups checks GroupRows(d, mask) against RowsIn region by
-// region and returns the groups.
-func checkGroups(t *testing.T, sp *Space, d *dataset.Dataset, mask uint32) *Groups {
+// checkGroups checks g, a grouping of d by node mask, against RowsIn
+// region by region.
+func checkGroups(t *testing.T, sp *Space, d *dataset.Dataset, mask uint32, g *Groups) {
 	t.Helper()
-	g := sp.GroupRows(d, mask)
 	seen := make([]bool, d.Len())
 	total := 0
 	for i := 0; i < g.Len(); i++ {
@@ -183,7 +187,6 @@ func checkGroups(t *testing.T, sp *Space, d *dataset.Dataset, mask uint32) *Grou
 	if total != d.Len() {
 		t.Fatalf("mask %#x: groups hold %d of %d rows", mask, total, d.Len())
 	}
-	return g
 }
 
 func equalRows(got []int32, want []int) bool {
