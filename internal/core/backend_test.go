@@ -10,25 +10,44 @@ import (
 	"repro/internal/synth"
 )
 
-// newHierarchyOn builds a hierarchy whose counts live in backend b,
+// layout names the lattice layout a test hierarchy counts in.
+type layout uint8
+
+const (
+	undecided layout = iota // CountAll's dense/sparse rule
+	dense
+	sparse
+)
+
+// newHierarchyOn builds a hierarchy whose counts take layout b,
 // whatever the dense/sparse rule would choose.
-func newHierarchyOn(tb testing.TB, d *dataset.Dataset, b backend) *Hierarchy {
+func newHierarchyOn(tb testing.TB, d *dataset.Dataset, b layout) *Hierarchy {
 	tb.Helper()
 	h, err := NewHierarchy(d)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h.backend = b
+	switch b {
+	case dense:
+		h.countAll = (*pattern.Space).CountDense
+	case sparse:
+		h.countAll = (*pattern.Space).CountSparse
+	}
 	return h
+}
+
+// Preload is PreloadCtx without a context.
+func (h *Hierarchy) Preload(workers int) error {
+	return h.PreloadCtx(context.Background(), workers)
 }
 
 var backends = []struct {
 	name string
-	b    backend
+	b    layout
 }{{"dense", dense}, {"sparse", sparse}}
 
 // identifyOn runs the optimized identification on backend b.
-func identifyOn(t *testing.T, d *dataset.Dataset, b backend, cfg Config) *Result {
+func identifyOn(t *testing.T, d *dataset.Dataset, b layout, cfg Config) *Result {
 	t.Helper()
 	res, err := newHierarchyOn(t, d, b).IdentifyOptimizedCtx(context.Background(), cfg)
 	if err != nil {
@@ -114,8 +133,8 @@ func TestBackendRule(t *testing.T) {
 	if _, err := h.IdentifyOptimized(Config{TauC: 0.2, T: 1, Scope: Top}); err != nil {
 		t.Fatal(err)
 	}
-	if h.backend != sparse || h.cube != nil {
-		t.Fatalf("200 rows x 10 attributes of cardinality 6: backend %d, want sparse", h.backend)
+	if h.lat.Cube() != nil {
+		t.Fatal("200 rows x 10 attributes of cardinality 6: dense layout, want sparse")
 	}
 
 	// Adult over |X| = 8: 453,600 regions against 45,222 · 2^8 entries.
@@ -123,8 +142,8 @@ func TestBackendRule(t *testing.T) {
 	if err := h.Preload(1); err != nil {
 		t.Fatal(err)
 	}
-	if h.backend != dense || h.cube == nil {
-		t.Fatalf("Adult |X| = 8: backend %d, want dense", h.backend)
+	if h.lat.Cube() == nil {
+		t.Fatal("Adult |X| = 8: sparse layout, want dense")
 	}
 }
 
@@ -140,10 +159,12 @@ func (f *fuzzBytes) next() int {
 	return int(b)
 }
 
-// FuzzHierarchyCounts drives both backends through a random schema,
+// FuzzHierarchyCounts drives both layouts through a random schema,
 // random rows and a random sequence of AddRow/RemoveRow/FlipRow, with
-// the first count read at a random point of the sequence, and checks
-// every region's counts against a scan of the mutated dataset.
+// the first count read, of a random region, at a random point of the
+// sequence. It then checks every region's counts against a scan of
+// the mutated dataset, leaf node first, so the sparse layout derives
+// nodes from parents the mutations updated.
 func FuzzHierarchyCounts(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 2, 3, 20, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 8, 3, 0, 1, 1, 2, 2, 0, 5, 1})
@@ -184,8 +205,14 @@ func FuzzHierarchyCounts(f *testing.F) {
 		firstRead := in.next() % (ops + 1)
 		for op := 0; op < ops; op++ {
 			if op == firstRead {
+				p := pattern.NewPattern(len(s.Attrs))
+				for i := range p {
+					if v := in.next() % (len(s.Attrs[i].Values) + 1); v > 0 {
+						p[i] = int16(v - 1)
+					}
+				}
 				for _, h := range hs {
-					h.count(pattern.NewPattern(h.Space.Dim()))
+					h.count(p)
 				}
 			}
 			switch in.next() % 3 {
@@ -220,8 +247,9 @@ func FuzzHierarchyCounts(f *testing.F) {
 			if h.Totals() != pattern.Totals(d) {
 				t.Fatalf("%s: totals %+v, want %+v", name, h.Totals(), pattern.Totals(d))
 			}
-			for _, mask := range h.Space.Masks() {
-				h.Space.EnumerateNode(mask, func(p pattern.Pattern) {
+			masks := h.Space.Masks()
+			for m := len(masks) - 1; m >= 0; m-- {
+				h.Space.EnumerateNode(masks[m], func(p pattern.Pattern) {
 					if got, want := h.count(p), h.Space.CountPattern(d, p); got != want {
 						t.Fatalf("%s: region %s: %+v, want %+v", name, h.Space.String(p), got, want)
 					}

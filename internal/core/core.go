@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/faults"
@@ -130,7 +128,7 @@ func (c Config) minSize() int {
 	return c.MinSize
 }
 
-func (c Config) validate(sp *pattern.Space) error {
+func (c Config) validate() error {
 	if c.TauC < 0 {
 		return fmt.Errorf("core: negative imbalance threshold %v", c.TauC)
 	}
@@ -151,7 +149,6 @@ func (c Config) validate(sp *pattern.Space) error {
 			return fmt.Errorf("core: resume snapshot for invalid level %d", snap.Level)
 		}
 	}
-	_ = sp
 	return nil
 }
 
@@ -238,28 +235,19 @@ func (res *Result) DominatesSignificant(g pattern.Pattern) bool {
 // counts so that dominating-region counts are computed once and shared
 // across all regions of a node (§III-B).
 //
-// The counts live in one of two backends, chosen on the first count
-// read from the data then present. The dense backend is one
-// pattern.Cube over the whole lattice, used when Space.CubeFits the
-// row count. The sparse backend keeps one hash table per node, counted
-// lazily; it holds spaces too large for a cube.
+// The counts live in one pattern.Lattice, counted by Space.CountAll on
+// the first read from the data then present: a dense cube when it
+// fits, else the sparse layout, which derives each node on its first
+// read.
 type Hierarchy struct {
-	Space   *pattern.Space
-	Data    *dataset.Dataset
-	backend backend
-	cube    *pattern.Cube            // dense backend
-	tables  map[uint32]pattern.Table // sparse backend
-	totals  pattern.Counts
+	Space  *pattern.Space
+	Data   *dataset.Dataset
+	lat    *pattern.Lattice // nil until the first count read
+	totals pattern.Counts
+	// countAll counts the lattice: (*pattern.Space).CountAll, which
+	// tests swap for CountDense or CountSparse to pin a layout.
+	countAll func(*pattern.Space, *dataset.Dataset, []int8, int) *pattern.Lattice
 }
-
-// backend names a Hierarchy's count store.
-type backend uint8
-
-const (
-	undecided backend = iota // no count read since the last invalidation
-	dense
-	sparse
-)
 
 // NewHierarchy constructs the hierarchy over the protected attributes
 // of d's schema.
@@ -268,141 +256,42 @@ func NewHierarchy(d *dataset.Dataset) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Hierarchy{
-		Space:  sp,
-		Data:   d,
-		tables: make(map[uint32]pattern.Table),
-		totals: pattern.Totals(d),
-	}, nil
+	return &Hierarchy{Space: sp, Data: d, totals: pattern.Totals(d),
+		countAll: (*pattern.Space).CountAll}, nil
 }
 
-// chooseBackend fixes the backend on the first count read, from the
-// data then present.
-func (h *Hierarchy) chooseBackend() backend {
-	if h.backend == undecided {
-		h.backend = sparse
-		if h.Space.CubeFits(h.Data.Len(), 2) {
-			h.backend = dense
-		}
+// lattice returns the counts, counting them on the first read.
+func (h *Hierarchy) lattice() *pattern.Lattice {
+	if h.lat == nil {
+		h.lat = h.countAll(h.Space, h.Data, h.Data.Labels, 2)
 	}
-	return h.backend
-}
-
-// isDense reports whether the counts live in the dense cube, building
-// the cube if it is missing.
-func (h *Hierarchy) isDense() bool {
-	if h.chooseBackend() != dense {
-		return false
-	}
-	if h.cube == nil {
-		h.cube = h.Space.CountCube(h.Data, h.Data.Labels, 2)
-	}
-	return true
+	return h.lat
 }
 
 // count returns the counts of region p.
 func (h *Hierarchy) count(p pattern.Pattern) pattern.Counts {
-	if h.isDense() {
-		return h.cube.LabelCounts(h.cube.Index(p))
-	}
-	return h.Node(p.Mask())[h.Space.Key(p)]
+	c := h.lattice().Counts(p)
+	return pattern.Counts{N: int(c[0] + c[1]), Pos: int(c[1])}
 }
 
-// Preload materializes every count so subsequent reads (including
-// concurrent ones) only read. The dense backend counts its cube in one
-// pass. The sparse backend fans the per-node group-bys out across
-// workers; workers <= 0 selects GOMAXPROCS. A non-nil error means the
-// preload did not complete (a counting worker panicked); the hierarchy
-// remains usable and missing counts are computed lazily.
-func (h *Hierarchy) Preload(workers int) error {
-	return h.PreloadCtx(context.Background(), workers)
-}
-
-// PreloadCtx is Preload under a context: remaining counting shards are
-// skipped once ctx is cancelled and ctx.Err() is returned. Tables that
-// finished counting are retained either way, and a panic inside a
-// counting worker is recovered into a *WorkerPanicError. All workers
-// are joined before returning.
-func (h *Hierarchy) PreloadCtx(ctx context.Context, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	masks := h.Space.Masks()
+// PreloadCtx materializes every count so subsequent reads (including
+// concurrent ones) only read: it counts the lattice if it is missing
+// and fills its sparse layout. It runs as one counting shard under the
+// full-lattice mask, so workers is ignored: one roll-up pass over the
+// non-empty regions leaves nothing to fan out. A cancelled ctx returns
+// ctx.Err() before counting. A panic while counting is recovered into
+// a *WorkerPanicError; the hierarchy remains usable and recounts on
+// the next read.
+func (h *Hierarchy) PreloadCtx(ctx context.Context, workers int) (err error) {
+	full := uint32(1)<<uint(h.Space.Dim()) - 1
 	ctx, psp := obs.StartSpan(ctx, "core.preload")
-	psp.SetInt("nodes", int64(len(masks)))
-	psp.SetInt("workers", int64(workers))
 	defer psp.End()
-	if h.chooseBackend() == dense {
-		psp.SetStr("backend", "dense")
-		return h.preloadCube(ctx)
-	}
-	tables := make([]pattern.Table, len(masks))
-	errs := make([]error, len(masks))
-	sem := make(chan struct{}, workers)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-dispatch:
-	for i, m := range masks {
-		if h.tables[m] != nil {
-			tables[i] = h.tables[m]
-			continue
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break dispatch
-		}
-		wg.Add(1)
-		go func(i int, m uint32) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = &WorkerPanicError{Mask: m, Value: r, Stack: debug.Stack()}
-					cancel()
-				}
-			}()
-			if ctx.Err() != nil {
-				return
-			}
-			if faults.Active() {
-				if err := faults.FireCtx(ctx, faults.PreloadWorker, m); err != nil {
-					errs[i] = fmt.Errorf("core: preload node %#x: %w", m, err)
-					cancel()
-					return
-				}
-			}
-			tables[i] = h.Space.CountNode(h.Data, m)
-		}(i, m)
-	}
-	wg.Wait()
-	for i, m := range masks {
-		if tables[i] != nil {
-			h.tables[m] = tables[i]
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}
-
-// preloadCube counts the dense cube, if it is missing, as one
-// preload shard over the full-lattice mask, with the sparse shards'
-// fault point and panic recovery.
-func (h *Hierarchy) preloadCube(ctx context.Context) (err error) {
-	if h.cube != nil {
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	full := uint32(1)<<uint(h.Space.Dim()) - 1
 	defer func() {
 		if r := recover(); r != nil {
+			h.lat = nil
 			err = &WorkerPanicError{Mask: full, Value: r, Stack: debug.Stack()}
 		}
 	}()
@@ -411,41 +300,29 @@ func (h *Hierarchy) preloadCube(ctx context.Context) (err error) {
 			return fmt.Errorf("core: preload node %#x: %w", full, err)
 		}
 	}
-	h.cube = h.Space.CountCube(h.Data, h.Data.Labels, 2)
+	h.lattice().Fill()
 	return nil
 }
 
-// Node returns the count table of the node identified by mask. On the
-// sparse backend it is the memoized table, computed on first use; on
-// the dense backend it is a fresh copy of the node's non-empty cells.
+// Node returns the counts of the non-empty regions of the node
+// identified by mask, as a fresh table.
 func (h *Hierarchy) Node(mask uint32) pattern.Table {
-	if h.isDense() {
-		t := make(pattern.Table)
-		h.Space.EnumerateNode(mask, func(p pattern.Pattern) {
-			if c := h.cube.LabelCounts(h.cube.Index(p)); c.N != 0 {
-				t[h.Space.Key(p)] = c
-			}
-		})
-		return t
-	}
-	if t, ok := h.tables[mask]; ok {
-		return t
-	}
-	t := h.Space.CountNode(h.Data, mask)
-	h.tables[mask] = t
+	t := make(pattern.Table)
+	h.Space.EnumerateNode(mask, func(p pattern.Pattern) {
+		if c := h.count(p); c.N != 0 {
+			t[h.Space.Key(p)] = c
+		}
+	})
 	return t
 }
 
 // Totals returns the level-0 counts of the dataset.
 func (h *Hierarchy) Totals() pattern.Counts { return h.totals }
 
-// Invalidate drops all memoized counts; the next count read chooses
-// the backend afresh. The remedy loop calls it after mutating the
-// dataset.
+// Invalidate drops all memoized counts; the next count read recounts
+// the lattice. The remedy loop calls it after mutating the dataset.
 func (h *Hierarchy) Invalidate() {
-	h.backend = undecided
-	h.cube = nil
-	h.tables = make(map[uint32]pattern.Table)
+	h.lat = nil
 	h.totals = pattern.Totals(h.Data)
 }
 
@@ -458,8 +335,7 @@ func (h *Hierarchy) SetData(d *dataset.Dataset) {
 
 // AddRow incrementally credits one appended instance to the counts
 // and the totals, so the remedy loop can keep the hierarchy consistent
-// without recounting. Counts not yet materialized (the cube before the
-// first read, sparse tables of unread nodes) are computed later from
+// without recounting. A lattice not yet counted is counted later from
 // the already-updated dataset, which keeps the two sources consistent.
 func (h *Hierarchy) AddRow(row []int32, positive bool) {
 	h.adjust(row, positive, +1)
@@ -489,32 +365,14 @@ func (h *Hierarchy) adjust(row []int32, positive bool, delta int) {
 }
 
 // apply adds dn to |r| and dp to |r+| of the totals and of every
-// materialized region containing row.
+// counted region containing row.
 func (h *Hierarchy) apply(row []int32, dn, dp int) {
 	h.totals.N += dn
 	h.totals.Pos += dp
-	if h.cube != nil {
+	if h.lat != nil {
 		delta := [2]int32{int32(dn - dp), int32(dp)}
-		h.cube.AddRow(row, delta[:])
+		h.lat.AddRow(row, delta[:])
 	}
-	for mask, table := range h.tables {
-		k := h.rowKey(row, mask)
-		c := table[k]
-		c.N += dn
-		c.Pos += dp
-		table[k] = c
-	}
-}
-
-// rowKey computes the masked projection key of a row.
-func (h *Hierarchy) rowKey(row []int32, mask uint32) uint64 {
-	var k uint64
-	for s := 0; s < h.Space.Dim(); s++ {
-		if mask&(1<<uint(s)) != 0 {
-			k |= uint64(row[h.Space.AttrIdx[s]]+1) << uint(5*s)
-		}
-	}
-	return k
 }
 
 // masksForScope returns the node masks to traverse, in bottom-up

@@ -111,7 +111,7 @@ func IdentifyNaiveCtx(ctx context.Context, d *dataset.Dataset, cfg Config) (*Res
 }
 
 // IdentifyNaive is the method form operating on an existing hierarchy,
-// reusing its memoized node tables.
+// reusing its memoized counts.
 func (h *Hierarchy) IdentifyNaive(cfg Config) (*Result, error) {
 	return h.IdentifyNaiveCtx(context.Background(), cfg)
 }
@@ -119,7 +119,7 @@ func (h *Hierarchy) IdentifyNaive(cfg Config) (*Result, error) {
 // IdentifyNaiveCtx is the context-aware method form. On cancellation it
 // returns the regions identified so far together with ctx.Err().
 func (h *Hierarchy) IdentifyNaiveCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.validate(h.Space); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	ctx, sp := obs.StartSpan(ctx, "core.identify.naive")
@@ -203,7 +203,7 @@ func (h *Hierarchy) IdentifyOptimized(cfg Config) (*Result, error) {
 // IdentifyOptimizedCtx (package form) for the cancellation and
 // panic-recovery contract.
 func (h *Hierarchy) IdentifyOptimizedCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.validate(h.Space); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.OrderedDistance || cfg.EuclideanT > 0 {
@@ -467,7 +467,7 @@ func (h *Hierarchy) BiasedRegionsInNode(mask uint32, cfg Config) ([]Region, erro
 // BiasedRegionsInNodeCtx is BiasedRegionsInNode under a context; on
 // cancellation the regions found so far return alongside ctx.Err().
 func (h *Hierarchy) BiasedRegionsInNodeCtx(ctx context.Context, mask uint32, cfg Config) ([]Region, error) {
-	if err := cfg.validate(h.Space); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	ctx, sp := obs.StartSpan(ctx, "core.identify.node")
@@ -507,13 +507,13 @@ func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, rc pattern.Counts, 
 		sum.Pos += c.Pos
 		size++
 	}
-	if T == 1 && h.isDense() {
+	if cube := h.lattice().Cube(); T == 1 && cube != nil {
 		// Dropping slot i zeroes its digit: that parent's cell lies
 		// (p[i]+1)·stride_i below p's.
-		idx := h.cube.Index(p)
+		idx := cube.Index(p)
 		for i, v := range p {
 			if v != pattern.Wildcard {
-				add(h.cube.LabelCounts(idx - int(v+1)*h.cube.Stride(i)))
+				add(cube.LabelCounts(idx - int(v+1)*cube.Stride(i)))
 			}
 		}
 	} else {

@@ -30,9 +30,9 @@ const (
 	// panicking hook simulates a worker crash; the identify layer must
 	// convert it into an error.
 	IdentifyWorker Point = "core.identify.worker"
-	// PreloadWorker fires at the start of every hierarchy preload
-	// counting shard. The argument is the node's uint32 mask; the dense
-	// count cube is one shard under the full-lattice mask.
+	// PreloadWorker fires at the start of a hierarchy preload's one
+	// counting shard, which counts and fills the lattice in either
+	// layout. The argument is the full-lattice uint32 mask.
 	PreloadWorker Point = "core.preload.worker"
 	// CSVRecord fires once per decoded CSV record. The argument is the
 	// 1-based line number (int). A non-nil error aborts the load as a

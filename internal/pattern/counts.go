@@ -36,89 +36,192 @@ func (c *Counts) Add(positive bool) {
 // Table maps region keys (Space.Key) to their counts.
 type Table map[uint64]Counts
 
-// CountNode computes the counts of every non-empty region in one
-// hierarchy node: the group-by of the dataset on the attributes of
-// mask. This is the "compute and store the counts of regions" step of
-// Algorithm 1 (lines 5-6).
-func (sp *Space) CountNode(d *dataset.Dataset, mask uint32) Table {
-	t := make(Table)
-	slots := sp.maskSlots(mask)
-	for i, row := range d.Rows {
-		var k uint64
-		for _, s := range slots {
-			k |= uint64(row[sp.AttrIdx[s]]+1) << uint(5*s)
-		}
-		c := t[k]
-		c.Add(d.Labels[i] == 1)
-		t[k] = c
-	}
-	return t
-}
-
 // Lattice holds k class counts for every region of the hierarchy, as
-// counted by CountAll: a dense Cube, or a table of the non-empty
-// regions when the cube does not fit. Slot s's counts sit at
-// counts[s*k : s*k+k]; a slot is a cube cell, or an entry of keys.
+// counted by CountAll. Slot s's counts sit at counts[s*k : s*k+k].
+//
+// The dense layout is a Cube: a slot is a cube cell. The sparse layout
+// keeps only non-empty regions, a slot per entry of keys. It counts the
+// leaf node from the rows, one slot per distinct tuple, and derives
+// every other node the first time it is read, by the cube's roll-up:
+// from a derived node with one more attribute, else from the leaf. A
+// read of few nodes derives only those; a Walk derives them all, at a
+// cost proportional to the non-empty regions.
 type Lattice struct {
 	sp     *Space
 	k      int
 	counts []int32
-	cube   *Cube          // dense backend
-	slots  map[uint64]int // sparse backend: region key -> slot
-	keys   []uint64       // sparse backend: slot -> region key
+	cube   *Cube // dense layout
+	// The sparse layout: zero holds the counts of every empty region,
+	// slots maps the key of every region of a derived node to its
+	// slot, keys inverts it, and nodes[mask] lists the slots of node
+	// mask, nil until the node is derived.
+	zero  []int32
+	slots map[uint64]int32
+	keys  []uint64
+	nodes [][]int32
 }
 
 // CountAll counts every region of the whole hierarchy by class, where
 // row r belongs to class classes[r] in [0, k): the support counting of
 // frequent-pattern mining that Theorem 1 reduces region counting to.
-// The lattice is a dense Cube when Space.CubeFits the rows; otherwise
-// each row increments all 2^dim masked projections in a hash table, so
-// only non-empty regions are stored.
+// It takes the dense layout when Space.CubeFits the rows, else the
+// sparse one.
 func (sp *Space) CountAll(d *dataset.Dataset, classes []int8, k int) *Lattice {
 	if sp.CubeFits(d.Len(), k) {
-		c := sp.CountCube(d, classes, k)
-		return &Lattice{sp: sp, k: k, counts: c.cells, cube: c}
+		return sp.CountDense(d, classes, k)
 	}
-	return sp.countSparse(d, classes, k)
+	return sp.CountSparse(d, classes, k)
 }
 
-// countSparse is CountAll's hash-table backend.
-func (sp *Space) countSparse(d *dataset.Dataset, classes []int8, k int) *Lattice {
-	dim := sp.Dim()
-	l := &Lattice{sp: sp, k: k, slots: make(map[uint64]int)}
-	contrib := make([]uint64, dim)
-	for i, row := range d.Rows {
-		for s := 0; s < dim; s++ {
-			contrib[s] = uint64(row[sp.AttrIdx[s]]+1) << uint(5*s)
+// CountDense is CountAll in the dense layout: one Cube over the whole
+// lattice.
+func (sp *Space) CountDense(d *dataset.Dataset, classes []int8, k int) *Lattice {
+	c := sp.countCube(d, classes, k)
+	return &Lattice{sp: sp, k: k, counts: c.cells, cube: c}
+}
+
+// CountSparse is CountAll in the sparse layout: it counts the leaf
+// node and leaves the others to be derived on first read.
+func (sp *Space) CountSparse(d *dataset.Dataset, classes []int8, k int) *Lattice {
+	full := 1<<uint(sp.Dim()) - 1
+	l := &Lattice{sp: sp, k: k, zero: make([]int32, k),
+		slots: make(map[uint64]int32), nodes: make([][]int32, full+1)}
+	leaf := []int32{}
+	for r, row := range d.Rows {
+		key := sp.rowKey(row)
+		s, ok := l.slots[key]
+		if !ok {
+			s = l.newSlot(key)
+			leaf = append(leaf, s)
 		}
-		for m := 0; m < 1<<uint(dim); m++ {
-			var key uint64
-			for mm := m; mm != 0; mm &= mm - 1 {
-				key |= contrib[bits.TrailingZeros(uint(mm))]
-			}
-			s, ok := l.slots[key]
-			if !ok {
-				s = len(l.keys)
-				l.slots[key] = s
-				l.keys = append(l.keys, key)
-				l.counts = append(l.counts, make([]int32, k)...)
-			}
-			l.counts[s*k+int(classes[i])]++
-		}
+		l.counts[int(s)*k+int(classes[r])]++
 	}
+	l.nodes[full] = leaf
 	return l
 }
 
+// rowKey returns the Key of the leaf region holding row.
+func (sp *Space) rowKey(row []int32) uint64 {
+	var key uint64
+	for s, a := range sp.AttrIdx {
+		key |= uint64(row[a]+1) << uint(5*s)
+	}
+	return key
+}
+
+// keyMask returns the bits of a Key that hold the slots of mask.
+func keyMask(mask uint32) uint64 {
+	var km uint64
+	for m := mask; m != 0; m &= m - 1 {
+		km |= 31 << uint(5*bits.TrailingZeros32(m))
+	}
+	return km
+}
+
+// newSlot adds a zero-count slot for region key.
+func (l *Lattice) newSlot(key uint64) int32 {
+	s := int32(len(l.keys))
+	l.slots[key] = s
+	l.keys = append(l.keys, key)
+	l.counts = append(l.counts, l.zero...)
+	return s
+}
+
+// derive rolls node mask up, unless it is derived, from the derived
+// node with one more attribute and the fewest regions, or from the
+// leaf when there is none.
+func (l *Lattice) derive(mask uint32) {
+	if l.nodes[mask] != nil {
+		return
+	}
+	leaf := uint32(len(l.nodes) - 1)
+	from := leaf
+	for m := leaf &^ mask; m != 0; m &= m - 1 {
+		up := mask | 1<<uint(bits.TrailingZeros32(m))
+		if l.nodes[up] != nil && len(l.nodes[up]) < len(l.nodes[from]) {
+			from = up
+		}
+	}
+	km, k := keyMask(mask), l.k
+	node := make([]int32, 0, len(l.nodes[from]))
+	for _, src := range l.nodes[from] {
+		s := int(src)
+		if total(l.counts[s*k:(s+1)*k]) == 0 {
+			continue
+		}
+		dst, ok := l.slots[l.keys[s]&km]
+		if !ok {
+			dst = l.newSlot(l.keys[s] & km)
+			node = append(node, dst)
+		}
+		for j := 0; j < k; j++ {
+			l.counts[int(dst)*k+j] += l.counts[s*k+j]
+		}
+	}
+	l.nodes[mask] = node
+}
+
+// Fill derives every node of the sparse layout, leaf level first, so
+// that reads no longer write: concurrent readers may then share the
+// lattice. The dense layout is always filled.
+func (l *Lattice) Fill() {
+	if l.cube != nil {
+		return
+	}
+	masks := l.sp.Masks()
+	for i := len(masks) - 1; i >= 0; i-- {
+		l.derive(masks[i])
+	}
+}
+
+// Cube returns the dense layout's cube, or nil in the sparse layout.
+func (l *Lattice) Cube() *Cube { return l.cube }
+
 // Counts returns the k class counts of region p; the caller must not
-// modify them.
+// modify them. Every empty region shares one zero slice.
 func (l *Lattice) Counts(p Pattern) []int32 {
-	s, ok := 0, true
+	var s int
 	if l.cube != nil {
 		s = l.cube.Index(p)
-	} else if s, ok = l.slots[l.sp.Key(p)]; !ok {
-		return make([]int32, l.k)
+	} else {
+		key := l.sp.Key(p)
+		i, ok := l.slots[key]
+		if !ok && l.nodes[p.Mask()] == nil {
+			l.derive(p.Mask()) // then the region has a slot if it is non-empty
+			i, ok = l.slots[key]
+		}
+		if !ok {
+			return l.zero[:l.k:l.k]
+		}
+		s = int(i)
 	}
 	return l.counts[s*l.k : (s+1)*l.k : (s+1)*l.k]
+}
+
+// AddRow adds delta[j] to the class-j count of every region containing
+// row. In the sparse layout it updates the derived nodes, giving a
+// region new to one of them a slot; nodes derived later roll up from
+// the updated counts.
+func (l *Lattice) AddRow(row []int32, delta []int32) {
+	if l.cube != nil {
+		l.cube.AddRow(row, delta)
+		return
+	}
+	key := l.sp.rowKey(row)
+	for mask, node := range l.nodes {
+		if node == nil {
+			continue
+		}
+		region := key & keyMask(uint32(mask))
+		s, ok := l.slots[region]
+		if !ok {
+			s = l.newSlot(region)
+			l.nodes[mask] = append(node, s)
+		}
+		for j, v := range delta {
+			l.counts[int(s)*l.k+j] += v
+		}
+	}
 }
 
 // Size returns |p|, the region's count over all classes.
@@ -126,8 +229,10 @@ func (l *Lattice) Size(p Pattern) int { return total(l.Counts(p)) }
 
 // Walk calls f with every non-empty region, the level-0 root included,
 // and its class counts, until f returns false. f receives a reused
-// pattern buffer; it must Clone the pattern to retain it.
+// pattern buffer; it must Clone the pattern to retain it. Walk fills
+// the sparse layout first.
 func (l *Lattice) Walk(f func(p Pattern, counts []int32) bool) {
+	l.Fill()
 	p := make(Pattern, l.sp.Dim())
 	for s := 0; s*l.k < len(l.counts); s++ {
 		c := l.counts[s*l.k : (s+1)*l.k : (s+1)*l.k]

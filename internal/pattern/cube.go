@@ -8,7 +8,7 @@ import (
 
 // maxCubeCounts caps a dense cube at 2^27 counts (512 MiB), so a large
 // dataset over a wide space cannot pass CubeFits and then exhaust
-// memory; such spaces keep sparse tables.
+// memory; such spaces take the Lattice's sparse layout.
 const maxCubeCounts = 1 << 27
 
 // Cube is a dense count table over the whole region lattice: k class
@@ -33,12 +33,12 @@ func (sp *Space) CubeFits(rows, k int) bool {
 	return n <= rows<<uint(sp.Dim()) && n*k <= maxCubeCounts
 }
 
-// CountCube counts every region of the lattice by class, where row r
+// countCube counts every region of the lattice by class, where row r
 // belongs to class classes[r] in [0, k), in one pass over the rows and
 // one roll-up per attribute: each row increments its leaf cell, then
 // for each slot in turn the digits 1..c are summed into the wildcard
 // digit 0.
-func (sp *Space) CountCube(d *dataset.Dataset, classes []int8, k int) *Cube {
+func (sp *Space) countCube(d *dataset.Dataset, classes []int8, k int) *Cube {
 	c := &Cube{sp: sp, k: k, strides: make([]int, sp.Dim())}
 	n := 1
 	for i, card := range sp.Cards {
@@ -62,7 +62,7 @@ func (sp *Space) CountCube(d *dataset.Dataset, classes []int8, k int) *Cube {
 				src := c.cells[base+v*stride : base+(v+1)*stride][:len(dst)]
 				j := 0
 				// Two counts a step halves the loop overhead of the
-				// roll-up, most of CountCube's time.
+				// roll-up, most of countCube's time.
 				for ; j+1 < len(dst); j += 2 {
 					dst[j] += src[j]
 					dst[j+1] += src[j+1]

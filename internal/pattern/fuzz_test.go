@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/stats"
 )
 
 // FuzzKeyRoundTrip asserts Key/DecodeKey stay inverse for any slot
@@ -129,30 +128,7 @@ func FuzzGroupRows(f *testing.F) {
 // TestGroupRowsWideLeaf groups the leaf node of a 12-attribute,
 // cardinality-30 space, whose 30^12 regions no dense table could hold.
 func TestGroupRowsWideLeaf(t *testing.T) {
-	s := &dataset.Schema{Target: "y"}
-	vals := make([]string, 30)
-	for v := range vals {
-		vals[v] = fmt.Sprint(v)
-	}
-	for i := 0; i < MaxDim; i++ {
-		s.Attrs = append(s.Attrs, dataset.Attr{Name: fmt.Sprintf("a%d", i), Values: vals, Protected: true})
-	}
-	sp, err := NewSpace(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := dataset.New(s)
-	r := stats.NewRNG(5)
-	for i := 0; i < 3000; i++ {
-		row := make([]int32, MaxDim)
-		for a := range row {
-			// Few values on the first slots, so leaves repeat.
-			row[a] = int32(r.Intn(min(30, 2+a*4)))
-		}
-		if err := d.Append(row, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sp, d := wideData(t, 3000, 5)
 	checkGroups(t, sp, d, 1<<MaxDim-1, sp.GroupRows(d, 1<<MaxDim-1))
 }
 

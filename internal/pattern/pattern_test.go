@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"fmt"
 	"math/bits"
 	"testing"
 	"testing/quick"
@@ -345,12 +346,16 @@ func labelCounts(c []int32) Counts {
 	return Counts{N: int(c[0] + c[1]), Pos: int(c[1])}
 }
 
-// TestCountAllMatchesBruteForce checks both backends: the dense cube
-// CountAll picks for this small space, and the hash table it falls
-// back to on wide ones.
+// TestCountAllMatchesBruteForce checks both layouts: the dense cube
+// CountAll picks for this small space and the sparse layout, read
+// region by region (each node derived from the leaf) and walked (each
+// node derived from a parent with one more attribute).
 func TestCountAllMatchesBruteForce(t *testing.T) {
 	sp, d := testData(t, 300, 42)
-	for b, lat := range []*Lattice{sp.CountAll(d, d.Labels, 2), sp.countSparse(d, d.Labels, 2)} {
+	for b, lat := range []*Lattice{sp.CountAll(d, d.Labels, 2), sp.CountSparse(d, d.Labels, 2), sp.CountSparse(d, d.Labels, 2)} {
+		if b == 2 {
+			lat.Fill()
+		}
 		nonEmpty := 0
 		for _, m := range sp.Masks() {
 			sp.EnumerateNode(m, func(p Pattern) {
@@ -359,33 +364,131 @@ func TestCountAllMatchesBruteForce(t *testing.T) {
 					nonEmpty++
 				}
 				if got := labelCounts(lat.Counts(p)); got != want || lat.Size(p) != want.N {
-					t.Fatalf("backend %d: counts for %v: got %+v want %+v", b, sp.String(p), got, want)
+					t.Fatalf("layout %d: counts for %v: got %+v want %+v", b, sp.String(p), got, want)
 				}
 			})
 		}
-		lat.Walk(func(p Pattern, c []int32) bool {
-			if got := labelCounts(c); got != sp.CountPattern(d, p) || got.N == 0 {
-				t.Fatalf("backend %d: walked %v with counts %+v", b, sp.String(p), got)
+		checkWalk(t, sp, d, lat, nonEmpty)
+	}
+
+	// The key encoding's limits: 12 attributes, values up to 29. The
+	// 31^12 regions cannot be enumerated, so each region some row
+	// projects to is checked, with one sibling that may be empty.
+	sp, d = wideData(t, 50, 5)
+	lat := sp.CountAll(d, d.Labels, 2)
+	if lat.Cube() != nil {
+		t.Fatal("a 12-attribute, cardinality-30 space got the dense layout")
+	}
+	seen := map[uint64]bool{}
+	for _, row := range d.Rows {
+		for _, m := range sp.Masks() {
+			p := NewPattern(sp.Dim())
+			for s := range p {
+				if m&(1<<uint(s)) != 0 {
+					p[s] = int16(row[s])
+				}
 			}
-			nonEmpty--
-			return true
-		})
-		if nonEmpty != 0 {
-			t.Fatalf("backend %d: walk missed %d non-empty regions", b, nonEmpty)
+			if seen[sp.Key(p)] {
+				continue
+			}
+			seen[sp.Key(p)] = true
+			sib := p.Clone()
+			if s := bits.Len32(m) - 1; s >= 0 {
+				sib[s] = (sib[s] + 1) % int16(sp.Cards[s])
+			}
+			for _, q := range []Pattern{p, sib} {
+				if got, want := labelCounts(lat.Counts(q)), sp.CountPattern(d, q); got != want {
+					t.Fatalf("wide: counts for %v: got %+v want %+v", sp.String(q), got, want)
+				}
+			}
 		}
+	}
+	checkWalk(t, sp, d, lat, len(seen))
+}
+
+// checkWalk checks that lat's Walk visits nonEmpty regions, each
+// non-empty and with the counts of a scan.
+func checkWalk(t *testing.T, sp *Space, d *dataset.Dataset, lat *Lattice, nonEmpty int) {
+	t.Helper()
+	lat.Walk(func(p Pattern, c []int32) bool {
+		if got := labelCounts(c); got != sp.CountPattern(d, p) || got.N == 0 {
+			t.Fatalf("walked %v with counts %+v", sp.String(p), got)
+		}
+		nonEmpty--
+		return true
+	})
+	if nonEmpty != 0 {
+		t.Fatalf("walk missed %d non-empty regions", nonEmpty)
 	}
 }
 
-func TestCountNodeMatchesCountAll(t *testing.T) {
-	sp, d := testData(t, 500, 7)
-	all := sp.CountAll(d, d.Labels, 2)
-	for _, m := range sp.Masks() {
-		node := sp.CountNode(d, m)
-		sp.EnumerateNode(m, func(p Pattern) {
-			if node[sp.Key(p)] != labelCounts(all.Counts(p)) {
-				t.Fatalf("node/all mismatch at %v", sp.String(p))
+// wideData returns n random rows over 12 protected attributes of
+// cardinality 30, whose 31^12 regions no dense table could hold. The
+// first slots draw from few values, so leaves repeat.
+func wideData(t *testing.T, n int, seed int64) (*Space, *dataset.Dataset) {
+	t.Helper()
+	s := &dataset.Schema{Target: "y"}
+	vals := make([]string, 30)
+	for v := range vals {
+		vals[v] = fmt.Sprint(v)
+	}
+	for i := 0; i < MaxDim; i++ {
+		s.Attrs = append(s.Attrs, dataset.Attr{Name: fmt.Sprintf("a%d", i), Values: vals, Protected: true})
+	}
+	sp, err := NewSpace(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dataset.New(s)
+	r := stats.NewRNG(seed)
+	for i := 0; i < n; i++ {
+		row := make([]int32, MaxDim)
+		for a := range row {
+			row[a] = int32(r.Intn(min(30, 2+a*4)))
+		}
+		if err := d.Append(row, int8(r.Intn(2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sp, d
+}
+
+// TestSparseReadsDeriveOnlyTheirNodes reads every region of the 12
+// level-1 nodes of a wide space: the sparse layout derives those nodes
+// and keeps the leaf, and no other node.
+func TestSparseReadsDeriveOnlyTheirNodes(t *testing.T) {
+	sp, d := wideData(t, 2000, 8)
+	lat := sp.CountAll(d, d.Labels, 2)
+	for s := 0; s < sp.Dim(); s++ {
+		sp.EnumerateNode(1<<uint(s), func(p Pattern) {
+			if got, want := labelCounts(lat.Counts(p)), sp.CountPattern(d, p); got != want {
+				t.Fatalf("counts for %v: got %+v want %+v", sp.String(p), got, want)
 			}
 		})
+	}
+	derived := 0
+	for _, node := range lat.nodes {
+		if node != nil {
+			derived++
+		}
+	}
+	if derived > 1+sp.Dim() {
+		t.Fatalf("reading the level-1 nodes derived %d nodes, want at most %d", derived, 1+sp.Dim())
+	}
+}
+
+// TestCountsOfEmptyRegionDoNotAllocate reads an empty region of a
+// derived sparse node, which returns the shared zero counts.
+func TestCountsOfEmptyRegionDoNotAllocate(t *testing.T) {
+	sp, d := wideData(t, 100, 3)
+	lat := sp.CountAll(d, d.Labels, 2)
+	p := NewPattern(sp.Dim())
+	p[0], p[11] = 5, 29 // slot 0 draws only 0 and 1
+	if lat.Size(p) != 0 {
+		t.Fatalf("Size(%v) = %d, want 0", sp.String(p), lat.Size(p))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { lat.Counts(p) }); allocs != 0 {
+		t.Fatalf("Counts of an empty region: %v allocs, want 0", allocs)
 	}
 }
 
