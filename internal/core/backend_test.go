@@ -46,7 +46,7 @@ var backends = []struct {
 	b    layout
 }{{"dense", dense}, {"sparse", sparse}}
 
-// identifyOn runs the optimized identification on backend b.
+// identifyOn runs the optimized identification on layout b.
 func identifyOn(t *testing.T, d *dataset.Dataset, b layout, cfg Config) *Result {
 	t.Helper()
 	res, err := newHierarchyOn(t, d, b).IdentifyOptimizedCtx(context.Background(), cfg)

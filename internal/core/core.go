@@ -268,9 +268,14 @@ func (h *Hierarchy) lattice() *pattern.Lattice {
 	return h.lat
 }
 
-// count returns the counts of region p.
+// count returns the counts of region p, read straight from the cube
+// in the dense layout: the traversal's hottest call.
 func (h *Hierarchy) count(p pattern.Pattern) pattern.Counts {
-	c := h.lattice().Counts(p)
+	lat := h.lattice()
+	if cube := lat.Cube(); cube != nil {
+		return cube.LabelCounts(cube.Index(p))
+	}
+	c := lat.Counts(p)
 	return pattern.Counts{N: int(c[0] + c[1]), Pos: int(c[1])}
 }
 

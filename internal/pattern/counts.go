@@ -74,7 +74,8 @@ func (sp *Space) CountAll(d *dataset.Dataset, classes []int8, k int) *Lattice {
 }
 
 // CountDense is CountAll in the dense layout: one Cube over the whole
-// lattice.
+// lattice. It allocates Space.NumRegions()·k counts, which is why
+// CountAll takes it only when the cube fits.
 func (sp *Space) CountDense(d *dataset.Dataset, classes []int8, k int) *Lattice {
 	c := sp.countCube(d, classes, k)
 	return &Lattice{sp: sp, k: k, counts: c.cells, cube: c}
