@@ -42,6 +42,8 @@ var fitBitsWant = map[string]string{
 	"edge/signed-zeros":      "3e5630f32f6e78745e88742abaa9fbcc",
 	"edge/constant-feature":  "627ee15a552c7f34b784fda02198748d",
 	"edge/max-features":      "6c54376f912b883e1b7d789c523bfcd3",
+	"edge/adjacent-floats":   "9df7ffb06b672fdca5ed54d2892ca2e7",
+	"edge/wide-codes":        "cc50d597a19b5801c33b08596b2784f6",
 }
 
 // fitDigest fits clf and hashes the Float64bits of PredictProba and
@@ -171,11 +173,47 @@ func TestFitBitsPinned(t *testing.T) {
 	cases = append(cases, fitCase{"edge/max-features",
 		NewDecisionTree(TreeParams{MaxDepth: 8, MaxFeatures: 5, Seed: 9}), ax, ay, aw, aprobe})
 
+	// The midpoint of two adjacent doubles rounds onto the upper one, so
+	// the split between them sends the upper value's rows left too.
+	lo := 1e-300
+	hi := math.Nextafter(lo, 1)
+	if (lo+hi)/2 != hi {
+		t.Fatalf("midpoint of %g and its successor does not round up", lo)
+	}
+	var fx [][]float64
+	var fy []float64
+	for i := 0; i < 120; i++ {
+		v := []float64{-1, lo, hi, 1}[i%4]
+		fx = append(fx, []float64{v, float64(i % 5)})
+		if (v >= hi) != (i%11 == 0) {
+			fy = append(fy, 1)
+		} else {
+			fy = append(fy, 0)
+		}
+	}
+	cases = append(cases, fitCase{"edge/adjacent-floats", edgeTree(), fx, fy, nil, fx})
+
+	// More than 65,536 distinct values in one feature.
+	wr := stats.NewRNG(13)
+	var wx [][]float64
+	var wy []float64
+	for i := 0; i < 70000; i++ {
+		v := wr.Float64() * 1000
+		wx = append(wx, []float64{v})
+		if (int(v/100)%2 == 0) != (wr.Intn(10) == 0) {
+			wy = append(wy, 1)
+		} else {
+			wy = append(wy, 0)
+		}
+	}
+	cases = append(cases, fitCase{"edge/wide-codes",
+		NewDecisionTree(TreeParams{MaxDepth: 4, Seed: 5}), wx, wy, nil, wx})
+
 	for _, c := range cases {
 		got := fitDigest(t, c.clf, c.x, c.y, c.w, c.probe)
 		want, ok := fitBitsWant[c.name]
 		if !ok {
-			t.Errorf("%s: no pinned digest", c.name)
+			t.Errorf("%s: no pinned digest (got %s)", c.name, got)
 			continue
 		}
 		if got != want {
