@@ -66,29 +66,24 @@ func (f *RandomForest) FitCtx(ctx context.Context, x [][]float64, y []float64, w
 	if w != nil {
 		sampler = stats.NewWeightedSampler(w)
 	}
-	// A bootstrap holds a subset of x's rows, so x's feature values
-	// serve every tree; values a bootstrap lacks are empty bins.
-	vals := distinctValues(x)
+	// Every tree grows over x's bin codes: a bootstrap is a vector of
+	// row ids, and values it lacks are empty bins. A fitted tree keeps
+	// no reference to its rows, so every bootstrap reuses one vector.
+	g := binRows(x, y, ones(n))
 	f.trees = make([]*DecisionTree, f.Params.Trees)
-	// A fitted tree keeps no reference to its training rows, so every
-	// bootstrap reuses one pair of buffers.
-	bx := make([][]float64, n)
-	by := make([]float64, n)
+	boot := make([]int, n)
 	for t := range f.trees {
 		if err := epochTick(ctx, t); err != nil {
 			f.trees = nil // half an ensemble is a silently different model
 			return err
 		}
 		// Weighted bootstrap.
-		for i := 0; i < n; i++ {
-			var j int
+		for i := range boot {
 			if sampler == nil {
-				j = rng.Intn(n)
+				boot[i] = rng.Intn(n)
 			} else {
-				j = sampler.Draw(rng)
+				boot[i] = sampler.Draw(rng)
 			}
-			bx[i] = x[j]
-			by[i] = y[j]
 		}
 		tree := NewDecisionTree(TreeParams{
 			MaxDepth:      f.Params.MaxDepth,
@@ -96,7 +91,7 @@ func (f *RandomForest) FitCtx(ctx context.Context, x [][]float64, y []float64, w
 			MinLeafWeight: f.Params.MinLeafWeight,
 			Seed:          rng.Int63(),
 		})
-		if err := tree.fit(ctx, bx, by, nil, vals); err != nil {
+		if err := tree.fit(ctx, g, boot); err != nil {
 			f.trees = nil
 			return err
 		}

@@ -10,14 +10,24 @@
 // zeros (at most 13 of an Adult row's 37 columns are set), so logistic
 // regression and the neural network index each row's non-zero columns
 // once per fit (nonZeros) and run every epoch over those alone. The
-// decision tree histograms each feature into reusable arrays indexed by
-// the value's position among the feature's sorted distinct values, and
-// partitions one row-index slice in place. The results are bit-identical
-// to dense passes over every column: the skipped LG terms are w·0 = ±0,
-// which leave a non-zero sum unchanged (and exp(±0) ignores the sign);
-// NN's dense pass would skip the same zeros in the same order; the
-// tree's stable partition keeps each node's rows, and so its sums, in
-// training-set order. TestFitBitsPinned pins the bits.
+// decision tree bins the training set once per fit, and a random forest
+// once for all its trees: codes[f][i] is the position of x[i][f] among
+// feature f's sorted distinct values. The codes are column-major in one
+// allocation of the narrowest unsigned type that holds every feature's
+// bin count (one byte up to 256 values, two up to 65,536, else four). A
+// node histograms a feature's codes into reusable arrays, and partitions
+// one row-index slice in place by testing codes[f][i] < cut, where cut
+// is the number of the feature's values <= the threshold. A threshold is
+// the midpoint of two values and can round onto the upper one, so the
+// code test reproduces x <= thresh exactly. A forest's bootstrap is a
+// vector of row ids into the shared codes and labels. The results are
+// bit-identical to dense passes over every column: the skipped LG terms
+// are w·0 = ±0, which leave a non-zero sum unchanged (and exp(±0)
+// ignores the sign); NN's dense pass would skip the same zeros in the
+// same order; the tree's stable partition keeps each node's rows, and
+// so its sums, in the order of its row ids. TestFitBitsPinned pins the
+// bits, and FuzzTreeFit checks trees node by node against a row-major,
+// float-compare reference.
 package ml
 
 import (

@@ -77,7 +77,14 @@ func (t *DecisionTree) FitCtx(ctx context.Context, x [][]float64, y []float64, w
 	if err := checkTrainingInput(x, y, w); err != nil {
 		return err
 	}
-	return t.fit(ctx, x, y, w, distinctValues(x))
+	if w == nil {
+		w = ones(len(x))
+	}
+	idx := make([]int, len(x))
+	for i := range idx {
+		idx[i] = i
+	}
+	return t.fit(ctx, binRows(x, y, w), idx)
 }
 
 // distinctValues returns each feature's distinct values in x,
@@ -95,20 +102,10 @@ func distinctValues(x [][]float64) [][]float64 {
 	return vals
 }
 
-// fit grows the tree on validated input. vals[f] lists, ascending and
-// distinct, every value feature f takes in x; it may list more, which
-// is how the forest shares its training set's values with every
-// bootstrap tree.
-func (t *DecisionTree) fit(ctx context.Context, x [][]float64, y []float64, w []float64, vals [][]float64) error {
-	if w == nil {
-		w = ones(len(x))
-	}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.importance = make([]float64, len(x[0]))
-	t.root = newTreeFit(t, x, y, w, vals).build(ctx, idx, 0)
+// fit grows the tree over the rows idx of g's training set, which may
+// repeat a row, as a forest's bootstrap does.
+func (t *DecisionTree) fit(ctx context.Context, g grower, idx []int) error {
+	t.root = g.grow(ctx, t, idx)
 	if err := ctx.Err(); err != nil {
 		t.root = nil // a truncated tree is a silently different model
 		return err
@@ -153,62 +150,87 @@ func gini(wt, wp float64) float64 {
 	return 2 * p * (1 - p)
 }
 
-// treeFit is one fit's state: the training data, each feature's sorted
-// distinct values, and the scratch that every node reuses.
-type treeFit struct {
-	t    *DecisionTree
-	x    [][]float64
-	y, w []float64
-	rng  *rand.Rand
-	// vals[f] holds feature f's distinct values, ascending (see fit). A
-	// histogram bin is a position in vals[f].
-	vals [][]float64
+// grower grows trees over one binned training set.
+type grower interface {
+	grow(ctx context.Context, t *DecisionTree, idx []int) *treeNode
+}
+
+// binCode is the type of a training set's bin codes.
+type binCode interface{ ~uint8 | ~uint16 | ~uint32 }
+
+// binRows bins x once, in the narrowest code type that holds every
+// feature's bin count, and returns the fit state over those codes.
+func binRows(x [][]float64, y, w []float64) grower {
+	vals := distinctValues(x)
+	bins := 0
+	for _, v := range vals {
+		bins = max(bins, len(v))
+	}
+	switch {
+	case bins <= 1<<8:
+		return newTreeFit[uint8](x, y, w, vals, bins)
+	case bins <= 1<<16:
+		return newTreeFit[uint16](x, y, w, vals, bins)
+	}
+	return newTreeFit[uint32](x, y, w, vals, bins)
+}
+
+// treeFit is the fit state over one training set: its bin codes,
+// labels and weights, and the scratch that every node, and every tree
+// of a forest, reuses.
+type treeFit[C binCode] struct {
+	t   *DecisionTree // the tree being grown
+	rng *rand.Rand
+	// vals[f] holds feature f's distinct values, ascending. A row's bin
+	// is the position of its value in vals[f], and codes[f][i] holds
+	// row i's bin; all codes share one backing array.
+	vals  [][]float64
+	codes [][]C
+	y, w  []float64
 	// cnt, hw and hwp are one feature's histogram at one node: rows,
 	// weight and positive weight per bin. Only the bins listed in
 	// touched are non-zero, and bestSplit clears them after use.
 	cnt     []int32
 	hw, hwp []float64
-	touched []int32
+	touched []C
 	// allFeats is 0..width-1; scratch holds a partition's right side.
 	allFeats []int
 	scratch  []int
 }
 
-func newTreeFit(t *DecisionTree, x [][]float64, y, w []float64, vals [][]float64) *treeFit {
-	s := &treeFit{
-		t: t, x: x, y: y, w: w, vals: vals,
-		rng:      stats.NewRNG(t.Params.Seed),
+func newTreeFit[C binCode](x [][]float64, y, w []float64, vals [][]float64, bins int) *treeFit[C] {
+	n := len(x)
+	s := &treeFit[C]{
+		vals: vals, y: y, w: w,
+		codes:    make([][]C, len(vals)),
+		cnt:      make([]int32, bins),
+		hw:       make([]float64, bins),
+		hwp:      make([]float64, bins),
 		allFeats: make([]int, len(vals)),
-		scratch:  make([]int, 0, len(x)),
+		scratch:  make([]int, 0, n),
 	}
-	bins := 0
-	for f, v := range vals {
+	buf := make([]C, len(vals)*n)
+	for f := range vals {
 		s.allFeats[f] = f
-		bins = max(bins, len(v))
+		s.codes[f] = buf[f*n : (f+1)*n]
 	}
-	s.cnt = make([]int32, bins)
-	s.hw = make([]float64, bins)
-	s.hwp = make([]float64, bins)
+	for i, row := range x {
+		for f, v := range row {
+			b, _ := slices.BinarySearch(vals[f], v)
+			buf[f*n+i] = C(b)
+		}
+	}
 	return s
 }
 
-// bin returns the position of v in the ascending slice vals, which
-// contains it.
-func bin(vals []float64, v float64) int {
-	lo, hi := 0, len(vals)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if vals[m] < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
+func (s *treeFit[C]) grow(ctx context.Context, t *DecisionTree, idx []int) *treeNode {
+	s.t, s.rng = t, stats.NewRNG(t.Params.Seed)
+	t.importance = make([]float64, len(s.vals))
+	return s.build(ctx, idx, 0)
 }
 
 // build grows the subtree over the rows idx, which it reorders in place.
-func (s *treeFit) build(ctx context.Context, idx []int, depth int) *treeNode {
+func (s *treeFit[C]) build(ctx context.Context, idx []int, depth int) *treeNode {
 	t := s.t
 	wt, wp := nodeStats(s.y, s.w, idx)
 	n := &treeNode{leaf: true}
@@ -238,14 +260,18 @@ func (s *treeFit) build(ctx context.Context, idx []int, depth int) *treeNode {
 }
 
 // partition stably reorders idx so the rows with x[i][feat] <= thresh
-// come first and returns how many there are. Stability keeps each
-// child's rows in training-set order, which fixes the summation order
-// of nodeStats and of the histograms.
-func (s *treeFit) partition(idx []int, feat int, thresh float64) int {
+// come first and returns how many there are. Those are the rows whose
+// code is below cut, the number of feat's values <= thresh: a threshold
+// is the midpoint of two values, and it can round onto the upper one.
+// Stability keeps each child's rows in the order of idx, which fixes
+// the summation order of nodeStats and of the histograms.
+func (s *treeFit[C]) partition(idx []int, feat int, thresh float64) int {
+	vals, col := s.vals[feat], s.codes[feat]
+	cut := sort.Search(len(vals), func(k int) bool { return vals[k] > thresh })
 	nl := 0
 	right := s.scratch[:0]
 	for _, i := range idx {
-		if s.x[i][feat] <= thresh {
+		if int(col[i]) < cut {
 			idx[nl] = i
 			nl++
 		} else {
@@ -262,7 +288,7 @@ func (s *treeFit) partition(idx []int, feat int, thresh float64) int {
 // the bin of its value, and the split candidates lie between adjacent
 // bins that hold rows. A bin holds rows when its count is positive; a
 // value carried only by zero-weight rows still bounds a candidate.
-func (s *treeFit) bestSplit(idx []int, wt, wp float64) (int, float64, float64, bool) {
+func (s *treeFit[C]) bestSplit(idx []int, wt, wp float64) (int, float64, float64, bool) {
 	p := s.t.Params
 	nf := len(s.vals)
 	feats := s.allFeats
@@ -273,18 +299,19 @@ func (s *treeFit) bestSplit(idx []int, wt, wp float64) (int, float64, float64, b
 	parent := gini(wt, wp)
 	bestGain := 1e-12
 	bestFeat, bestThresh := -1, 0.0
-	x, y, w := s.x, s.y, s.w
+	y, w := s.y, s.w
 	cnt, hw, hwp := s.cnt, s.hw, s.hwp
 	for _, f := range feats {
 		vals := s.vals[f]
 		if len(vals) < 2 {
 			continue
 		}
+		col := s.codes[f]
 		touched := s.touched[:0]
 		for _, i := range idx {
-			b := bin(vals, x[i][f])
+			b := col[i]
 			if cnt[b] == 0 {
-				touched = append(touched, int32(b))
+				touched = append(touched, b)
 			}
 			cnt[b]++
 			hw[b] += w[i]
