@@ -4,7 +4,10 @@
 // committed BENCH_*.json artifact format: one object per benchmark
 // with its package and every reported metric (ns/op, B/op, allocs/op,
 // and custom b.ReportMetric series like nodes_visited/op), plus the
-// run's environment header. Run via scripts/bench.sh.
+// run's environment: the header go test prints, the GOMAXPROCS the
+// rows ran at (the -N suffix go test puts on each row name, which the
+// row names drop) and the Go version. Run via scripts/bench.sh, which
+// builds this program with the toolchain that ran the benchmarks.
 package main
 
 import (
@@ -12,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -27,11 +31,14 @@ type report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	GoVersion  string      `json:"go_version"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
 	Benchmarks []benchmark `json:"benchmarks"`
 }
 
 func main() {
-	rep := report{Benchmarks: []benchmark{}}
+	// go test leaves the suffix off when GOMAXPROCS is 1.
+	rep := report{GoVersion: runtime.Version(), GOMAXPROCS: 1, Benchmarks: []benchmark{}}
 	// go test prints a "pkg:" header before each package's rows.
 	var pkg string
 	sc := bufio.NewScanner(os.Stdin)
@@ -56,8 +63,14 @@ func main() {
 			if err != nil {
 				continue
 			}
+			name := fields[0]
+			if k := strings.LastIndexByte(name, '-'); k >= 0 {
+				if procs, err := strconv.Atoi(name[k+1:]); err == nil {
+					name, rep.GOMAXPROCS = name[:k], procs
+				}
+			}
 			b := benchmark{
-				Name:       strings.SplitN(fields[0], "-", 2)[0],
+				Name:       name,
 				Pkg:        pkg,
 				Iterations: iters,
 				Metrics:    map[string]float64{},
