@@ -156,7 +156,7 @@ type grower interface {
 }
 
 // binCode is the type of a training set's bin codes.
-type binCode interface{ ~uint8 | ~uint16 | ~uint32 }
+type binCode interface{ uint8 | uint16 | uint32 }
 
 // binRows bins x once, in the narrowest code type that holds every
 // feature's bin count, and returns the fit state over those codes.

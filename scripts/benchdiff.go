@@ -66,7 +66,8 @@ func load(path string) (keys []string, rows map[string]row, err error) {
 }
 
 func median(v []float64) float64 {
-	s := slices.Sorted(slices.Values(v))
+	s := slices.Clone(v)
+	slices.Sort(s)
 	if len(s)%2 == 1 {
 		return s[len(s)/2]
 	}
