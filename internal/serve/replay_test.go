@@ -199,6 +199,9 @@ func TestLiveJournalMatchesReplay(t *testing.T) {
 	if err := srv.RequeueStolen(ctx, stale.ID); err != nil {
 		t.Fatal(err)
 	}
+	// Every later record of this job restates its attempt, so only a
+	// comparison made now shows whether the requeue reached the journal.
+	assertTableMatchesJournal(t, srv.engine, journalRecords(t, dir))
 	steal(stale.ID, 1)
 	if err := srv.CompleteStolen(ctx, stale.ID, StateDone, "", result, "node-b", 0, nil); !errors.Is(err, ErrStaleAttempt) {
 		t.Fatalf("stale steal result: err = %v, want ErrStaleAttempt", err)
