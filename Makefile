@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint lint-graph lint-report panicgate baseline obs-check serve-check durable-check cluster-check chaos-check obs-fleet-check load-check bench fuzz
+.PHONY: all build vet test race check lint obs-check serve-check durable-check cluster-check chaos-check obs-fleet-check load-check bench fuzz
 
 all: check
 
@@ -16,39 +16,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint runs the full remedylint suite (see cmd/remedylint): the
-# machine-checked form of the repo's correctness contracts, including
-# the interprocedural concurrency/durability analyzers (lockorder,
-# heldcall, goroleak, journalgate). New findings fail; sanctioned
-# exceptions carry //lint:allow comments (the baseline is empty).
-# -timings prints per-analyzer wall-clock cost so regressions in the
-# analysis itself are visible.
+# lint runs the full remedylint suite (see cmd/remedylint) over the
+# module and prints per-analyzer wall-clock cost, so regressions in the
+# analysis itself are visible. The same suite runs inside the race step
+# of `make check` (TestSelfCheck in cmd/remedylint). Findings fail;
+# sanctioned exceptions carry inline //lint:allow comments.
 lint:
 	$(GO) run ./cmd/remedylint -timings ./...
-
-# lint-graph dumps the interprocedural evidence the concurrency
-# analyzers reason from: the call-graph summary, every lock class, and
-# the observed lock-order edges with witness sites.
-lint-graph:
-	$(GO) run ./cmd/remedylint -graph ./...
-
-# panicgate is the narrow no-panic gate (a remedylint subset kept as
-# its own target for habit and for fast pre-commit runs). The library's
-# error contract is sentinel errors and context cancellation; panics
-# are reserved for tests.
-panicgate:
-	$(GO) run ./cmd/remedylint -analyzers panicgate ./...
-
-# baseline regenerates .remedylint-baseline.json from current findings.
-# Only for deliberately grandfathering new debt; prefer fixing or
-# //lint:allow-ing findings instead.
-baseline:
-	$(GO) run ./cmd/remedylint -write-baseline ./...
-
-# lint-report refreshes the committed machine-readable report, the
-# artifact format downstream tooling consumes.
-lint-report:
-	$(GO) run ./cmd/remedylint -json ./... > remedylint-report.json
 
 # obs-check vets and race-tests the observability layer in isolation:
 # its lock-free counters and span bookkeeping are the code most likely

@@ -62,7 +62,7 @@ func startClusterNode(t *testing.T, id, addr, dir, peers string) func() error {
 		}
 		return stopErr
 	}
-	t.Cleanup(func() { _ = stop() }) //lint:allow errdiscard exit already checked where it matters
+	t.Cleanup(func() { _ = stop() }) // exit already checked where it matters
 	return stop
 }
 

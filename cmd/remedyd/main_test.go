@@ -144,7 +144,7 @@ func TestServeDataDirSurvivesRestart(t *testing.T) {
 	}
 
 	c2, stop2 := startServer(t, "-workers", "1", "-data-dir", dir)
-	defer stop2() //lint:allow errdiscard second shutdown outcome is not under test
+	defer stop2() // second shutdown outcome is not under test
 	d2, err := c2.Dataset(ctx, info.ID)
 	if err != nil {
 		t.Fatalf("dataset lost across restart: %v", err)

@@ -2,33 +2,24 @@
 // machine-checks the correctness contracts the reproduction's
 // auditability rests on (panic-free libraries, seeded-RNG-only
 // randomness, context-first cancellation, checked errors, balanced
-// observability spans) using the stdlib-only framework in
-// internal/analysis.
+// observability spans, and the concurrency contracts of the service
+// layer) using the stdlib-only framework in internal/analysis.
 //
 // Usage:
 //
 //	remedylint [flags] [packages]
 //
 // Packages are directories or recursive patterns ("./...", the
-// default). Flags:
+// default). Every run applies the whole suite; an inline
+// //lint:allow <analyzer> <reason> comment is the one way to accept a
+// finding. Flags:
 //
-//	-analyzers all|name,name   subset of the suite to run
-//	-json                      emit the versioned JSON report
-//	-baseline file             baseline of grandfathered findings,
-//	                           relative to the module root
-//	                           (default .remedylint-baseline.json)
-//	-write-baseline            regenerate the baseline from current
-//	                           findings instead of failing on them
-//	-list                      print the suite with docs and exit
-//	-graph                     dump the interprocedural view (call-graph
-//	                           summary, lock classes, lock-order edges)
-//	                           and exit without running analyzers
-//	-timings                   print per-analyzer wall-clock timing
-//	                           after the findings
+//	-list      print the suite with docs and exit
+//	-timings   print per-analyzer wall-clock timing after the findings
 //
-// Exit status: 0 when no new findings, 1 when findings survive the
-// baseline and //lint:allow suppressions, 2 on operational errors
-// (bad flags, unloadable packages, type-check failures).
+// Exit status: 0 when no findings, 1 when findings survive the
+// //lint:allow suppressions, 2 on operational errors (bad flags,
+// unloadable packages, type-check failures).
 package main
 
 import (
@@ -36,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/analyzers"
@@ -50,25 +40,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("remedylint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		analyzerSpec  = fs.String("analyzers", "all", "comma-separated analyzers to run, or \"all\"")
-		jsonOut       = fs.Bool("json", false, "emit the versioned JSON report instead of text")
-		baselinePath  = fs.String("baseline", ".remedylint-baseline.json", "baseline file of grandfathered findings (relative to the module root)")
-		writeBaseline = fs.Bool("write-baseline", false, "regenerate the baseline from current findings and exit")
-		list          = fs.Bool("list", false, "list the analyzer suite and exit")
-		graph         = fs.Bool("graph", false, "dump the interprocedural view (call graph, lock classes, lock-order edges) and exit")
-		timings       = fs.Bool("timings", false, "print per-analyzer wall-clock timing after the findings")
+		list    = fs.Bool("list", false, "list the analyzer suite and exit")
+		timings = fs.Bool("timings", false, "print per-analyzer wall-clock timing after the findings")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	selected, err := analyzers.Select(*analyzerSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "remedylint:", err)
-		return 2
-	}
+	suite := analyzers.All()
 	if *list {
-		for _, a := range selected {
+		for _, a := range suite {
 			fmt.Fprintf(stdout, "%s\n    %s\n", a.Name, a.Doc)
 		}
 		return 0
@@ -90,41 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *graph {
-		if err := analyzers.WriteGraph(stdout, analysis.BuildProgram(pkgs)); err != nil {
-			fmt.Fprintln(stderr, "remedylint:", err)
-			return 2
-		}
-		return 0
-	}
-
-	bpath := *baselinePath
-	if !filepath.IsAbs(bpath) {
-		bpath = filepath.Join(loader.ModuleDir, bpath)
-	}
-	baseline, err := analysis.ReadBaseline(bpath)
-	if err != nil {
-		fmt.Fprintln(stderr, "remedylint:", err)
-		return 2
-	}
-
-	res := analysis.Run(pkgs, selected, baseline, loader.ModuleDir)
-
-	if *writeBaseline {
-		if err := analysis.NewBaseline(res.Findings).WriteFile(bpath); err != nil {
-			fmt.Fprintln(stderr, "remedylint:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "remedylint: wrote %d finding(s) to %s\n", len(res.Findings), bpath)
-		return 0
-	}
-
-	if *jsonOut {
-		if err := analysis.WriteJSON(stdout, res); err != nil {
-			fmt.Fprintln(stderr, "remedylint:", err)
-			return 2
-		}
-	} else if err := analysis.WriteText(stdout, res); err != nil {
+	res := analysis.Run(pkgs, suite, loader.ModuleDir)
+	if err := analysis.WriteText(stdout, res); err != nil {
 		fmt.Fprintln(stderr, "remedylint:", err)
 		return 2
 	}

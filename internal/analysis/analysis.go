@@ -13,10 +13,10 @@
 //   - An Analyzer inspects one type-checked Package at a time and
 //     reports Diagnostics through a Pass.
 //   - //lint:allow <analyzer> <justification> comments suppress a
-//     finding on the same or the following line.
-//   - A Baseline file grandfathers pre-existing findings so the gate
-//     only fails on new ones.
-//   - Reporters render surviving findings as text or JSON.
+//     finding on the same or the following line; they are the one way
+//     to accept a finding.
+//   - Run applies the suite and the suppressions; WriteText renders
+//     the surviving findings.
 //
 // The cmd/remedylint binary wires these together as the CI gate.
 package analysis
@@ -28,17 +28,7 @@ import (
 	"go/types"
 )
 
-// Severity classifies a finding. Every contract analyzer in this
-// repository reports SeverityError; SeverityWarning is reserved for
-// advisory checks (for example a //lint:allow with no justification).
-type Severity string
-
-const (
-	SeverityError   Severity = "error"
-	SeverityWarning Severity = "warning"
-)
-
-// Diagnostic is one finding: where, which analyzer, what, how bad.
+// Diagnostic is one finding: where, which analyzer, what.
 type Diagnostic struct {
 	// Pos locates the finding. File is as reported by the loader
 	// (absolute or loader-relative); reporters rewrite it relative to
@@ -46,13 +36,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Severity Severity
-}
-
-// String renders the canonical single-line form used by the text
-// reporter and by tests.
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
 // Package is one parsed and type-checked package of the module under
@@ -84,20 +67,19 @@ type Package struct {
 type Pass struct {
 	Pkg *Package
 	// Prog is the module-wide call graph and lock-set view, shared by
-	// every pass of one run. Non-nil only when at least one selected
-	// analyzer sets NeedsProgram; analyzers that set it may assume it.
+	// every pass of one run. Non-nil only when at least one analyzer
+	// of the run sets NeedsProgram; analyzers that set it may assume it.
 	Prog     *Program
 	analyzer *Analyzer
 	report   func(Diagnostic)
 }
 
-// Report files a finding at pos with the analyzer's default severity.
+// Report files a finding at pos.
 func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Pos:      p.Pkg.Fset.Position(pos),
 		Analyzer: p.analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Severity: SeverityError,
 	})
 }
 
@@ -105,8 +87,8 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 // pass.Report for each finding. Analyzers must be stateless across
 // packages: the driver may run them in any order.
 type Analyzer struct {
-	// Name is the identifier used by -analyzers, //lint:allow and the
-	// baseline file. Lower-case, no spaces.
+	// Name is the identifier //lint:allow directives use. Lower-case,
+	// no spaces.
 	Name string
 	// Doc is a one-paragraph description of the contract enforced.
 	Doc string

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"encoding/json"
 	"go/ast"
 	"os"
 	"path/filepath"
@@ -47,7 +46,7 @@ func loadFramework(t *testing.T) ([]*Package, *Loader) {
 
 func TestDriverSuppressionAndWarnings(t *testing.T) {
 	pkgs, loader := loadFramework(t)
-	res := Run(pkgs, []*Analyzer{stub}, nil, loader.ModuleDir)
+	res := Run(pkgs, []*Analyzer{stub}, loader.ModuleDir)
 
 	var msgs []string
 	for _, f := range res.Findings {
@@ -60,14 +59,12 @@ func TestDriverSuppressionAndWarnings(t *testing.T) {
 	if res.Suppressed != 2 {
 		t.Errorf("Suppressed = %d, want 2 (justified + inline directives)", res.Suppressed)
 	}
-	if res.Baselined != 0 {
-		t.Errorf("Baselined = %d, want 0", res.Baselined)
-	}
 
 	wantWarn := []string{
 		"//lint:allow stub has no justification",
 		"unused //lint:allow stub",
 		"malformed //lint:allow: missing analyzer name",
+		"//lint:allow nosuch: unknown analyzer",
 	}
 	if len(res.Warnings) != len(wantWarn) {
 		t.Fatalf("Warnings = %v, want %d warnings", res.Warnings, len(wantWarn))
@@ -80,93 +77,6 @@ func TestDriverSuppressionAndWarnings(t *testing.T) {
 		if !found {
 			t.Errorf("no warning containing %q in %v", sub, res.Warnings)
 		}
-	}
-}
-
-func TestBaselineSelective(t *testing.T) {
-	pkgs, loader := loadFramework(t)
-	clean := Run(pkgs, []*Analyzer{stub}, nil, loader.ModuleDir)
-	if len(clean.Findings) != 2 {
-		t.Fatalf("precondition: %d findings, want 2", len(clean.Findings))
-	}
-
-	// Grandfather only the first finding; the second must survive.
-	b := &Baseline{Version: 1, Findings: []BaselineEntry{{
-		Analyzer: clean.Findings[0].Analyzer,
-		File:     clean.Findings[0].File,
-		Message:  clean.Findings[0].Message,
-		Count:    1,
-	}}}
-	res := Run(pkgs, []*Analyzer{stub}, b, loader.ModuleDir)
-	if res.Baselined != 1 || len(res.Findings) != 1 {
-		t.Fatalf("Baselined = %d, Findings = %v; want 1 baselined and 1 live", res.Baselined, res.Findings)
-	}
-	if res.Findings[0].Message != clean.Findings[1].Message {
-		t.Errorf("surviving finding = %q, want %q", res.Findings[0].Message, clean.Findings[1].Message)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	pkgs, loader := loadFramework(t)
-	clean := Run(pkgs, []*Analyzer{stub}, nil, loader.ModuleDir)
-
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := NewBaseline(clean.Findings).WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	b, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatalf("ReadBaseline: %v", err)
-	}
-	res := Run(pkgs, []*Analyzer{stub}, b, loader.ModuleDir)
-	if len(res.Findings) != 0 || res.Baselined != len(clean.Findings) {
-		t.Errorf("after round-trip: Findings = %v, Baselined = %d; want none and %d",
-			res.Findings, res.Baselined, len(clean.Findings))
-	}
-}
-
-func TestBaselineCountSemantics(t *testing.T) {
-	b := &Baseline{Version: 1, Findings: []BaselineEntry{
-		{Analyzer: "a", File: "f.go", Message: "m", Count: 2},
-	}}
-	match := b.matcher()
-	if !match("a", "f.go", "m") || !match("a", "f.go", "m") {
-		t.Fatal("first two occurrences must be absorbed by Count: 2")
-	}
-	if match("a", "f.go", "m") {
-		t.Fatal("third occurrence must escape the exhausted baseline entry")
-	}
-	if match("a", "other.go", "m") {
-		t.Fatal("baseline entries must not match across files")
-	}
-}
-
-func TestNewBaselineMergesDuplicates(t *testing.T) {
-	b := NewBaseline([]Finding{
-		{File: "f.go", Line: 10, Analyzer: "a", Message: "m"},
-		{File: "f.go", Line: 20, Analyzer: "a", Message: "m"},
-		{File: "e.go", Line: 5, Analyzer: "a", Message: "m"},
-	})
-	if len(b.Findings) != 2 {
-		t.Fatalf("entries = %d, want 2 (same file+message merged)", len(b.Findings))
-	}
-	// Sorted by file, so e.go first. A single occurrence leaves Count
-	// at its zero value, which the matcher reads as 1.
-	if b.Findings[0].File != "e.go" || b.Findings[0].Count != 0 {
-		t.Errorf("entry 0 = %+v, want e.go with default count", b.Findings[0])
-	}
-	if b.Findings[1].File != "f.go" || b.Findings[1].Count != 2 {
-		t.Errorf("entry 1 = %+v, want f.go count 2 (line numbers ignored)", b.Findings[1])
-	}
-}
-
-func TestReadBaselineMissing(t *testing.T) {
-	b, err := ReadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil {
-		t.Fatalf("missing baseline must read as empty, got error: %v", err)
-	}
-	if len(b.Findings) != 0 {
-		t.Fatalf("missing baseline must have no findings, got %v", b.Findings)
 	}
 }
 
@@ -184,34 +94,26 @@ func TestReporters(t *testing.T) {
 	res := &Result{
 		Findings: []Finding{{
 			File: "internal/x/x.go", Line: 3, Col: 2,
-			Analyzer: "stub", Severity: SeverityError, Message: "function FlagMe is flagged",
+			Analyzer: "stub", Message: "function FlagMe is flagged",
+		}},
+		Warnings: []Finding{{
+			File: "internal/x/x.go", Line: 9, Col: 1,
+			Analyzer: "lint", Message: "//lint:allow nosuch: unknown analyzer",
 		}},
 		Suppressed: 1,
-		Analyzers:  []string{"stub"},
 	}
 
 	var text bytes.Buffer
 	if err := WriteText(&text, res); err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []string{"internal/x/x.go:3:2: stub: function FlagMe is flagged", "1 finding(s)"} {
+	for _, sub := range []string{
+		"internal/x/x.go:3:2: stub: function FlagMe is flagged\n",
+		"internal/x/x.go:9:1: lint (warning): //lint:allow nosuch: unknown analyzer\n",
+		"remedylint: 1 finding(s), 1 warning(s), 1 suppressed\n",
+	} {
 		if !strings.Contains(text.String(), sub) {
 			t.Errorf("text report missing %q:\n%s", sub, text.String())
 		}
-	}
-
-	var raw bytes.Buffer
-	if err := WriteJSON(&raw, res); err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Version  int       `json:"version"`
-		Findings []Finding `json:"findings"`
-	}
-	if err := json.Unmarshal(raw.Bytes(), &decoded); err != nil {
-		t.Fatalf("JSON report does not parse: %v", err)
-	}
-	if decoded.Version != 1 || len(decoded.Findings) != 1 || decoded.Findings[0] != res.Findings[0] {
-		t.Errorf("JSON round-trip = %+v, want version 1 with the original finding", decoded)
 	}
 }

@@ -2,56 +2,27 @@
 // machine-checked form of this repository's correctness contracts.
 // Each analyzer is a small, self-contained check over one type-checked
 // package; the framework in internal/analysis handles loading,
-// //lint:allow suppression, baselines, and reporting.
+// //lint:allow suppression, and reporting.
 package analyzers
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
 )
 
-// All returns the full suite in stable name order.
+// All returns the full suite in name order.
 func All() []*analysis.Analyzer {
-	suite := []*analysis.Analyzer{
+	return []*analysis.Analyzer{
 		CtxFirst,
 		Determinism,
 		ErrDiscard,
 		Goroleak,
 		Heldcall,
-		Journalgate,
 		Lockorder,
 		ObsPair,
 		PanicGate,
 	}
-	sort.Slice(suite, func(i, j int) bool { return suite[i].Name < suite[j].Name })
-	return suite
-}
-
-// Select resolves a comma-separated analyzer list ("panicgate,ctxfirst"
-// or "all") against the suite.
-func Select(spec string) ([]*analysis.Analyzer, error) {
-	if spec == "" || spec == "all" {
-		return All(), nil
-	}
-	byName := make(map[string]*analysis.Analyzer)
-	var names []string
-	for _, a := range All() {
-		byName[a.Name] = a
-		names = append(names, a.Name)
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (available: %s)", name, strings.Join(names, ", "))
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // isUnder reports whether the consecutive path elements elems appear

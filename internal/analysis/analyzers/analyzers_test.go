@@ -37,7 +37,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 }
 
 // runFixture loads testdata/src/<analyzer> and runs the single
-// analyzer over it with no baseline.
+// analyzer over it.
 func runFixture(t *testing.T, az *analysis.Analyzer) (*analysis.Result, string) {
 	t.Helper()
 	loader, err := analysis.NewLoader(".")
@@ -54,7 +54,7 @@ func runFixture(t *testing.T, az *analysis.Analyzer) (*analysis.Result, string) 
 			t.Errorf("fixture type error: %v", e)
 		}
 	}
-	return analysis.Run(pkgs, []*analysis.Analyzer{az}, nil, loader.ModuleDir), dir
+	return analysis.Run(pkgs, []*analysis.Analyzer{az}, loader.ModuleDir), dir
 }
 
 var (

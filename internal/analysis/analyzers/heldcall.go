@@ -75,7 +75,7 @@ func runHeldcall(pass *analysis.Pass) {
 
 // blockingPrimitive classifies a call site as a blocking operation.
 func blockingPrimitive(cs *analysis.CallSite) (string, bool) {
-	if cs.Kind == analysis.CallSend && cs.SendUnbuffered {
+	if cs.SendUnbuffered {
 		return "send on unbuffered channel", true
 	}
 	if cs.Callee == nil {

@@ -49,14 +49,6 @@ type lockEdge struct {
 	readerPair bool
 }
 
-type lockorderResult struct {
-	findings []lockFinding
-	// edges/keys retain the observed ordering graph (deterministically
-	// sorted) for the -graph debug dump.
-	edges map[[2]*analysis.LockClass]*lockEdge
-	keys  [][2]*analysis.LockClass
-}
-
 type lockFinding struct {
 	fn  *analysis.FuncNode
 	pos token.Pos
@@ -65,18 +57,18 @@ type lockFinding struct {
 
 func runLockorder(pass *analysis.Pass) {
 	v := pass.Prog.Cache("lockorder.result", func() any { return computeLockorder(pass.Prog) })
-	res, ok := v.(*lockorderResult)
+	findings, ok := v.([]lockFinding)
 	if !ok {
 		return
 	}
-	for _, f := range res.findings {
+	for _, f := range findings {
 		if f.fn.Pkg == pass.Pkg {
 			pass.Report(f.pos, "%s", f.msg)
 		}
 	}
 }
 
-func computeLockorder(prog *analysis.Program) *lockorderResult {
+func computeLockorder(prog *analysis.Program) []lockFinding {
 	edges := map[[2]*analysis.LockClass]*lockEdge{}
 	record := func(e *lockEdge) {
 		k := [2]*analysis.LockClass{e.from, e.to}
@@ -153,7 +145,7 @@ func computeLockorder(prog *analysis.Program) *lockorderResult {
 	}
 	sccs := tarjanSCC(classes, adj)
 
-	res := &lockorderResult{edges: edges, keys: keys}
+	var findings []lockFinding
 	for _, scc := range sccs {
 		member := map[*analysis.LockClass]bool{}
 		for _, c := range scc {
@@ -165,7 +157,7 @@ func computeLockorder(prog *analysis.Program) *lockorderResult {
 			if !ok || e.readerPair {
 				continue // no self-edge, or a legal RLock re-entry
 			}
-			res.findings = append(res.findings, lockFinding{
+			findings = append(findings, lockFinding{
 				fn: e.fn, pos: e.pos,
 				msg: fmt.Sprintf("potential deadlock: %s reacquired while already held (%s); sync.Mutex is not reentrant",
 					c.Key, strings.Join(e.path, " -> ")),
@@ -202,15 +194,15 @@ func computeLockorder(prog *analysis.Program) *lockorderResult {
 				break
 			}
 		}
-		res.findings = append(res.findings, lockFinding{
+		findings = append(findings, lockFinding{
 			fn: witness.fn, pos: witness.pos,
 			msg: fmt.Sprintf("potential deadlock: lock-order cycle among [%s]: %s acquired while holding %s (%s)%s",
 				strings.Join(names, ", "), witness.to.Key, witness.from.Key,
 				strings.Join(witness.path, " -> "), reverse),
 		})
 	}
-	sort.Slice(res.findings, func(i, j int) bool { return res.findings[i].pos < res.findings[j].pos })
-	return res
+	sort.Slice(findings, func(i, j int) bool { return findings[i].pos < findings[j].pos })
+	return findings
 }
 
 // tarjanSCC returns the strongly connected components of the class

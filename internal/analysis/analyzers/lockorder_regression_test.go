@@ -28,7 +28,7 @@ func TestLockorderDetectsApplyMuInversion(t *testing.T) {
 			t.Errorf("fixture type error: %v", e)
 		}
 	}
-	res := analysis.Run(pkgs, []*analysis.Analyzer{Lockorder}, nil, loader.ModuleDir)
+	res := analysis.Run(pkgs, []*analysis.Analyzer{Lockorder}, loader.ModuleDir)
 	if len(res.Findings) != 1 {
 		t.Fatalf("want exactly 1 lockorder finding for the applyMu/mu inversion, got %d: %v",
 			len(res.Findings), res.Findings)

@@ -22,39 +22,20 @@ package analysis
 //     deferred literals (included, flagged Deferred).
 //
 // Lock-set analysis (lockset.go) and the interprocedural analyzers
-// (lockorder, heldcall, goroleak, journalgate) are all built on this.
+// (lockorder, heldcall, goroleak) are all built on this.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
-)
-
-// CallKind classifies how a call site resolves.
-type CallKind int
-
-const (
-	// CallStatic is a direct call to a declared function or concrete
-	// method.
-	CallStatic CallKind = iota
-	// CallInterface is a method call through an interface value;
-	// Targets holds every module-local implementation.
-	CallInterface
-	// CallDynamic is a call through a function value (variable, field,
-	// parameter, closure). Not traversed.
-	CallDynamic
-	// CallSend is a pseudo-site for a channel send statement on a
-	// channel locally provable unbuffered. Call and Callee are nil.
-	CallSend
 )
 
 // CallSite is one call (or unbuffered-send pseudo-call) inside a
 // declared function, in source order.
 type CallSite struct {
 	Caller *FuncNode
-	// Call is the AST call expression; nil for CallSend.
+	// Call is the AST call expression; nil for a send.
 	Call *ast.CallExpr
 	Pos  token.Pos
 	// Callee is the resolved function object when the callee is known
@@ -64,9 +45,11 @@ type CallSite struct {
 	// Recv is the receiver expression for method calls (sel.X), used by
 	// the lock-set layer to identify which mutex a Lock call is on.
 	Recv ast.Expr
-	// Targets are the module-local bodies this call may enter.
+	// Targets are the module-local bodies this call may enter: the
+	// declared body of a static call, every module-local
+	// implementation of an interface method. Empty for calls through
+	// function values, which are not traversed.
 	Targets []*FuncNode
-	Kind    CallKind
 	// Async marks sites lexically inside a `go` statement launched by
 	// this function: they do not run on the caller's stack and are
 	// skipped by synchronous dataflow (lock regions, Reach).
@@ -74,7 +57,9 @@ type CallSite struct {
 	// Deferred marks sites inside a defer statement (directly or in a
 	// deferred literal); they run at function exit.
 	Deferred bool
-	// SendUnbuffered is set on CallSend sites (the only sends recorded).
+	// SendUnbuffered marks the pseudo-site of a send statement on a
+	// channel locally provable unbuffered (the only sends recorded);
+	// Call and Callee are nil.
 	SendUnbuffered bool
 }
 
@@ -301,7 +286,7 @@ func (w *walker) walkNode(n ast.Node, async, deferred bool) {
 			}
 			if obj != nil && w.unbuffered[obj] {
 				w.node.Calls = append(w.node.Calls, &CallSite{
-					Caller: w.node, Pos: n.Pos(), Kind: CallSend,
+					Caller: w.node, Pos: n.Pos(),
 					Async: async, Deferred: deferred, SendUnbuffered: true,
 				})
 			}
@@ -405,17 +390,10 @@ func (w *walker) recordCall(call *ast.CallExpr, async, deferred bool) {
 				return
 			}
 		}
-		site.Kind = CallDynamic
 		w.node.Calls = append(w.node.Calls, site)
 		return
 	}
 	site.Callee = callee
-	sig, _ := callee.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-		site.Kind = CallInterface
-	} else {
-		site.Kind = CallStatic
-	}
 	site.Targets = w.targetsOf(call, callee)
 	w.node.Calls = append(w.node.Calls, site)
 }
@@ -527,13 +505,4 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-// PkgDisplay renders a package qualifier for diagnostics ("cluster",
-// "serve") from an import path.
-func PkgDisplay(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

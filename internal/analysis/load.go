@@ -65,9 +65,6 @@ func NewLoader(dir string) (*Loader, error) {
 	return l, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // findModule walks up from dir to the nearest go.mod and returns the
 // module directory and module path.
 func findModule(dir string) (root, modPath string, err error) {

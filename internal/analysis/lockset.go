@@ -30,8 +30,6 @@ type LockClass struct {
 	// Key is the stable display name: "pkg.Type.field", "pkg.var", or
 	// "pkg.Type(embedded)" for promoted sync.Mutex embeds.
 	Key string
-	// RW marks sync.RWMutex classes.
-	RW bool
 }
 
 // LockOp classifies a mutex method call.
@@ -95,7 +93,7 @@ func (p *Program) LockCall(cs *CallSite) (*LockClass, LockOp) {
 	if name != "Mutex" && name != "RWMutex" {
 		return nil, LockOpNone
 	}
-	class := p.classFor(cs, name == "RWMutex")
+	class := p.classFor(cs)
 	if class == nil {
 		return nil, LockOpNone
 	}
@@ -104,7 +102,7 @@ func (p *Program) LockCall(cs *CallSite) (*LockClass, LockOp) {
 
 // classFor identifies the lock class of a mutex method call from its
 // receiver expression.
-func (p *Program) classFor(cs *CallSite, rw bool) *LockClass {
+func (p *Program) classFor(cs *CallSite) *LockClass {
 	if cs.Recv == nil || cs.Caller == nil {
 		return nil
 	}
@@ -126,7 +124,7 @@ func (p *Program) classFor(cs *CallSite, rw bool) *LockClass {
 				}
 				key = q + "." + owner.Obj().Name() + "." + obj.Name()
 			}
-			return p.internClass(obj, key, rw)
+			return p.internClass(obj, key)
 		}
 		// Qualified package-level var: pkg.mu.Lock().
 		if obj := info.Uses[e.Sel]; obj != nil {
@@ -134,7 +132,7 @@ func (p *Program) classFor(cs *CallSite, rw bool) *LockClass {
 			if op := obj.Pkg(); op != nil {
 				q = op.Name()
 			}
-			return p.internClass(obj, q+"."+obj.Name(), rw)
+			return p.internClass(obj, q+"."+obj.Name())
 		}
 	case *ast.Ident:
 		obj := info.Uses[e]
@@ -151,18 +149,18 @@ func (p *Program) classFor(cs *CallSite, rw bool) *LockClass {
 			if op := named.Obj().Pkg(); op != nil {
 				q = op.Name()
 			}
-			return p.internClass(named.Obj(), q+"."+named.Obj().Name()+"(embedded)", rw)
+			return p.internClass(named.Obj(), q+"."+named.Obj().Name()+"(embedded)")
 		}
 		q := pkgName
 		if obj.Pkg() != nil {
 			q = obj.Pkg().Name()
 		}
-		return p.internClass(obj, q+"."+obj.Name(), rw)
+		return p.internClass(obj, q+"."+obj.Name())
 	}
 	return nil
 }
 
-func (p *Program) internClass(obj types.Object, key string, rw bool) *LockClass {
+func (p *Program) internClass(obj types.Object, key string) *LockClass {
 	v := p.Cache("lockset.classes", func() any { return map[types.Object]*LockClass{} })
 	classes, ok := v.(map[types.Object]*LockClass)
 	if !ok {
@@ -171,13 +169,13 @@ func (p *Program) internClass(obj types.Object, key string, rw bool) *LockClass 
 	if c, ok := classes[obj]; ok {
 		return c
 	}
-	c := &LockClass{Obj: obj, Key: key, RW: rw}
+	c := &LockClass{Obj: obj, Key: key}
 	classes[obj] = c
 	return c
 }
 
-// LockRegions returns fn's lock regions, computed lazily.
-func (p *Program) LockRegions(fn *FuncNode) []*LockRegion {
+// lockRegions returns fn's lock regions, computed lazily.
+func (p *Program) lockRegions(fn *FuncNode) []*LockRegion {
 	if fn.locks != nil {
 		return fn.locks.regions
 	}
@@ -221,7 +219,7 @@ func (p *Program) LockRegions(fn *FuncNode) []*LockRegion {
 // acquiring call itself).
 func (p *Program) HeldAt(fn *FuncNode, pos token.Pos) []*LockRegion {
 	var held []*LockRegion
-	for _, r := range p.LockRegions(fn) {
+	for _, r := range p.lockRegions(fn) {
 		if r.Acquire < pos && pos < r.End {
 			held = append(held, r)
 		}

@@ -1,14 +1,13 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
 
 // WriteText renders the result in the conventional compiler-style
 // file:line:col format, findings first, then warnings, then a one-line
-// summary. It is the human-facing reporter.
+// summary.
 func WriteText(w io.Writer, res *Result) error {
 	for _, f := range res.Findings {
 		if _, err := fmt.Fprintln(w, f.String()); err != nil {
@@ -25,22 +24,7 @@ func WriteText(w io.Writer, res *Result) error {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "remedylint: %d finding(s), %d warning(s), %d suppressed, %d baselined\n",
-		len(res.Findings), len(res.Warnings), res.Suppressed, res.Baselined)
+	_, err := fmt.Fprintf(w, "remedylint: %d finding(s), %d warning(s), %d suppressed\n",
+		len(res.Findings), len(res.Warnings), res.Suppressed)
 	return err
-}
-
-// jsonReport is the versioned machine-readable artifact format. Future
-// tooling (dashboards, ratchets, PR annotations) consumes this rather
-// than scraping the text output.
-type jsonReport struct {
-	Version int `json:"version"`
-	*Result
-}
-
-// WriteJSON renders the result as the versioned JSON artifact.
-func WriteJSON(w io.Writer, res *Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jsonReport{Version: 1, Result: res})
 }

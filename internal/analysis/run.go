@@ -7,16 +7,15 @@ import (
 	"time"
 )
 
-// Finding is a Diagnostic that survived suppression and baseline
-// filtering, with its file path rewritten relative to the module root
-// (slash-separated) for stable reports and baselines.
+// Finding is a Diagnostic that survived suppression, with its file
+// path rewritten relative to the module root (slash-separated) for
+// stable reports.
 type Finding struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Analyzer string   `json:"analyzer"`
-	Severity Severity `json:"severity"`
-	Message  string   `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // String renders the canonical file:line:col form.
@@ -26,29 +25,25 @@ func (f Finding) String() string {
 
 // Result is the outcome of one analysis run.
 type Result struct {
-	// Findings are the live problems: not waived inline, not
-	// grandfathered. A non-empty slice fails the gate.
-	Findings []Finding `json:"findings"`
+	// Findings are the live problems: not waived inline. A non-empty
+	// slice fails the gate.
+	Findings []Finding
 	// Warnings are advisory: //lint:allow directives that are
-	// malformed, unjustified, or no longer suppress anything. They do
-	// not fail the gate but are always reported.
-	Warnings []Finding `json:"warnings,omitempty"`
-	// Suppressed and Baselined count the findings waived by
-	// //lint:allow directives and by the baseline file respectively.
-	Suppressed int `json:"suppressed"`
-	Baselined  int `json:"baselined"`
+	// malformed, unjustified, name no analyzer of the suite, or no
+	// longer suppress anything. They do not fail the gate but are
+	// always reported.
+	Warnings []Finding
+	// Suppressed counts the findings waived by //lint:allow directives.
+	Suppressed int
 	// TypeErrors count soft type-check errors across the loaded
 	// packages. Analysis of a tree that does not compile is
 	// best-effort; the driver surfaces the count so CI can insist on
 	// zero.
-	TypeErrors []string `json:"type_errors,omitempty"`
-	// Analyzers lists the analyzer names that ran, sorted.
-	Analyzers []string `json:"analyzers"`
+	TypeErrors []string
 	// Timings accumulates wall-clock time per analyzer across all
-	// packages (plus a "(callgraph)" entry for Program construction).
-	// Diagnostic output for `make lint -timings`; excluded from the
-	// JSON artifact so reports stay byte-stable run-to-run.
-	Timings map[string]time.Duration `json:"-"`
+	// packages (plus a "(callgraph)" entry for Program construction),
+	// printed by remedylint -timings.
+	Timings map[string]time.Duration
 }
 
 // TimingRows renders Timings sorted by descending cost for display.
@@ -71,21 +66,16 @@ func (r *Result) TimingRows() []string {
 }
 
 // Run executes the analyzers over the packages, then applies
-// //lint:allow suppression and the baseline. moduleDir anchors the
-// relative paths in the result; pass the Loader's ModuleDir.
-func Run(pkgs []*Package, analyzers []*Analyzer, baseline *Baseline, moduleDir string) *Result {
-	// Findings starts non-nil so the JSON artifact always carries an
-	// explicit array, never null.
-	res := &Result{Findings: []Finding{}, Timings: map[string]time.Duration{}}
+// //lint:allow suppression. A directive naming an analyzer outside
+// analyzers is reported as a warning, so pass the whole suite.
+// moduleDir anchors the relative paths in the result; pass the
+// Loader's ModuleDir.
+func Run(pkgs []*Package, analyzers []*Analyzer, moduleDir string) *Result {
+	res := &Result{Timings: map[string]time.Duration{}}
 	for _, a := range analyzers {
-		res.Analyzers = append(res.Analyzers, a.Name)
-		// Pre-seed so every selected analyzer shows a timing row even
-		// when AppliesTo filters it off all loaded packages.
+		// Pre-seed so every analyzer shows a timing row even when
+		// AppliesTo filters it off all loaded packages.
 		res.Timings[a.Name] = 0
-	}
-	sort.Strings(res.Analyzers)
-	if baseline == nil {
-		baseline = &Baseline{Version: 1}
 	}
 
 	// Wall-clock timing here is diagnostic output for the lint tooling
@@ -124,10 +114,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer, baseline *Baseline, moduleDir s
 
 	allows := collectAllows(pkgs)
 	idx := buildAllowIndex(allows)
-	match := baseline.matcher()
 
-	// Deterministic processing order so multiset baseline matching is
-	// reproducible run-to-run.
+	// Sorted, so findings come out in position order and identical
+	// duplicates sit next to each other.
 	sort.Slice(raw, func(i, j int) bool { return lessDiag(raw[i], raw[j]) })
 
 	var prev Diagnostic
@@ -136,21 +125,15 @@ func Run(pkgs []*Package, analyzers []*Analyzer, baseline *Baseline, moduleDir s
 			continue // identical duplicate (e.g. nested flagging of one call)
 		}
 		prev = d
-		rel := relFile(moduleDir, d.Pos.Filename)
 		if idx.suppresses(d.Analyzer, d.Pos.Filename, d.Pos.Line) {
 			res.Suppressed++
 			continue
 		}
-		if match(d.Analyzer, rel, d.Message) {
-			res.Baselined++
-			continue
-		}
 		res.Findings = append(res.Findings, Finding{
-			File:     rel,
+			File:     relFile(moduleDir, d.Pos.Filename),
 			Line:     d.Pos.Line,
 			Col:      d.Pos.Column,
 			Analyzer: d.Analyzer,
-			Severity: d.Severity,
 			Message:  d.Message,
 		})
 	}
@@ -165,15 +148,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer, baseline *Baseline, moduleDir s
 			Line:     d.Pos.Line,
 			Col:      d.Pos.Column,
 			Analyzer: "lint",
-			Severity: SeverityWarning,
 		}
 		switch {
 		case d.Analyzer == "":
 			w.Message = "malformed //lint:allow: missing analyzer name"
 		case !known[d.Analyzer]:
-			// Directives for analyzers excluded from this run cannot be
-			// judged used or unused; stay silent about them.
-			continue
+			w.Message = fmt.Sprintf("//lint:allow %s: unknown analyzer", d.Analyzer)
 		case d.Justification == "":
 			w.Message = fmt.Sprintf("//lint:allow %s has no justification", d.Analyzer)
 		case !d.used:

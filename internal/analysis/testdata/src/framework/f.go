@@ -1,6 +1,6 @@
 // Package framework exercises the analysis driver itself: inline
-// suppression, justification and staleness warnings, and baseline
-// matching. The tests run a stub analyzer that flags every function
+// suppression, and the justification, staleness and unknown-analyzer
+// warnings. The tests run a stub analyzer that flags every function
 // whose name starts with Flag.
 package framework
 
@@ -17,5 +17,5 @@ func Quiet() int { return 4 }
 //lint:allow
 func Malformed() int { return 5 }
 
-//lint:allow otherstub directives for analyzers outside the run are ignored
+//lint:allow nosuch names no analyzer of the run, so it waives nothing
 func FlagOther() int { return 6 }

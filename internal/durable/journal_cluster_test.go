@@ -18,7 +18,7 @@ func TestJournalSequenceAndSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close() //lint:allow errdiscard test cleanup
+	defer j.Close()
 
 	var seqs []uint64
 	var types []RecordType
@@ -71,7 +71,7 @@ func TestJournalInitSequenceContinuesNumbering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close() //lint:allow errdiscard test cleanup
+	defer j2.Close()
 	_, info := replayAll(t, path)
 	j2.InitSequence(uint64(info.Records))
 
@@ -90,7 +90,7 @@ func TestJournalTruncateTo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close() //lint:allow errdiscard test cleanup
+	defer j.Close()
 	recs := sampleRecords()
 	appendAll(t, j, recs)
 	j.InitSequence(uint64(len(recs)))
@@ -137,7 +137,7 @@ func TestJournalTruncateCutsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close() //lint:allow errdiscard test cleanup
+	defer j.Close()
 	_, info := replayAll(t, path)
 	if !info.Torn {
 		t.Fatal("fixture journal not torn")

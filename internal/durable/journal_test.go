@@ -227,7 +227,7 @@ func TestJournalAppendFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close() //lint:allow errdiscard test cleanup
+	defer j.Close()
 	boom := errors.New("disk full")
 	calls := 0
 	faults.Set(faults.JournalAppend, func(arg any) error {

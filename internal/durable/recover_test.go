@@ -128,7 +128,7 @@ func TestStoreRecoverEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close() //lint:allow errdiscard test cleanup
+	defer s2.Close()
 	tbl, err := s2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestStoreSpillLoadRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdiscard test cleanup
+	defer s.Close()
 
 	meta := DatasetMeta{ID: "ds-abc123", Name: "adult", Target: "income", Protected: []string{"race", "sex"}, Bytes: 11}
 	if err := s.SpillDataset(ctx, meta, func(w io.Writer) error {
@@ -190,7 +190,7 @@ func TestStoreRejectsUnsafeIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdiscard test cleanup
+	defer s.Close()
 	for _, id := range []string{"", ".", "..", "../escape", "a/b", "a\\b", "a b"} {
 		err := s.SpillDataset(ctx, DatasetMeta{ID: id}, func(io.Writer) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "safe file name") {

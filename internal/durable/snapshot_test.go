@@ -74,7 +74,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdiscard test cleanup
+	defer s.Close()
 	seq := jobStream(t, ctx, s, 2)
 
 	// Snapshot-only compaction: the journal keeps its prefix.
@@ -155,7 +155,7 @@ func TestCompactRecoverEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s2.Close() //lint:allow errdiscard test cleanup
+		defer s2.Close()
 		tbl, err := s2.Recover(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +194,7 @@ func TestRecoverFinishesInterruptedCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close() //lint:allow errdiscard test cleanup
+	defer s2.Close()
 	tbl, err := s2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestRecoverInstallCrashBeforeReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close() //lint:allow errdiscard test cleanup
+	defer s2.Close()
 	tbl, err := s2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestInstallSnapshotVerifiesContentAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer donor.Close() //lint:allow errdiscard test cleanup
+	defer donor.Close()
 	seq := jobStream(t, ctx, donor, 1)
 	if err := donor.Compact(ctx, seq, true); err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestInstallSnapshotVerifiesContentAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdiscard test cleanup
+	defer s.Close()
 	if _, err := s.InstallSnapshot(ctx, raw, "snap-forged"); err == nil {
 		t.Fatal("install accepted a wrong content address")
 	}
@@ -308,7 +308,7 @@ func TestTruncateToEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdiscard test cleanup
+	defer s.Close()
 	j := s.Journal()
 	seq := jobStream(t, ctx, s, 1) // 5 records
 
@@ -360,7 +360,7 @@ func TestTruncateRacingAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdiscard test cleanup
+	defer s.Close()
 	j := s.Journal()
 
 	var wg sync.WaitGroup
@@ -405,7 +405,7 @@ func TestJournalFenceBlocksOriginatedAppendsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdiscard test cleanup
+	defer s.Close()
 	j := s.Journal()
 
 	j.Fence()
@@ -430,7 +430,7 @@ func TestStoreStatsTracksCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdiscard test cleanup
+	defer s.Close()
 	seq := jobStream(t, ctx, s, 2)
 
 	st := s.Stats(ctx)
@@ -462,7 +462,7 @@ func TestMaybeCompactHonorsPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdiscard test cleanup
+	defer s.Close()
 
 	// No policy: never compacts.
 	jobStream(t, ctx, s, 1)

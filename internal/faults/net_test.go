@@ -26,8 +26,8 @@ func newNetHarness(t *testing.T) *netHarness {
 	h := &netHarness{}
 	h.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.hits.Add(1)
-		body, _ := io.ReadAll(r.Body) //lint:allow errdiscard test handler echoes best-effort
-		_, _ = w.Write(body)          //lint:allow errdiscard test handler echoes best-effort
+		body, _ := io.ReadAll(r.Body)
+		_, _ = w.Write(body)
 	}))
 	t.Cleanup(h.srv.Close)
 	return h
@@ -51,8 +51,8 @@ func TestNetFaultsPassThroughWithoutRules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fault-free request failed: %v", err)
 	}
-	body, _ := io.ReadAll(resp.Body) //lint:allow errdiscard test read
-	resp.Body.Close()                //lint:allow errdiscard test close
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if string(body) != "ping" || b.hits.Load() != 1 {
 		t.Fatalf("got body %q hits %d, want ping/1", body, b.hits.Load())
 	}
@@ -80,7 +80,7 @@ func TestNetFaultsPartitionAndHeal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healed request failed: %v", err)
 	}
-	resp.Body.Close() //lint:allow errdiscard test close
+	resp.Body.Close()
 	if b.hits.Load() != 1 {
 		t.Fatalf("healed request did not arrive (%d hits)", b.hits.Load())
 	}
@@ -112,7 +112,7 @@ func TestNetFaultsPartitionOneWayIsAsymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatalf("b→a should pass: %v", err)
 	}
-	resp.Body.Close() //lint:allow errdiscard test close
+	resp.Body.Close()
 	if a.hits.Load() != 1 || b.hits.Load() != 0 {
 		t.Fatalf("hits a=%d b=%d, want 1/0", a.hits.Load(), b.hits.Load())
 	}
@@ -128,7 +128,7 @@ func TestNetFaultsDropScheduleIsSeedDeterministic(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			resp, err := client.Get(b.srv.URL + "/x")
 			if err == nil {
-				resp.Body.Close() //lint:allow errdiscard test close
+				resp.Body.Close()
 			}
 			outcomes = append(outcomes, err == nil)
 		}
@@ -159,8 +159,8 @@ func TestNetFaultsDuplicateDeliversTwice(t *testing.T) {
 	if err != nil {
 		t.Fatalf("duplicated request failed: %v", err)
 	}
-	body, _ := io.ReadAll(resp.Body) //lint:allow errdiscard test read
-	resp.Body.Close()                //lint:allow errdiscard test close
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if string(body) != "payload" {
 		t.Fatalf("kept response body = %q, want the echo", body)
 	}
@@ -182,7 +182,7 @@ func TestNetFaultsDelayDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("delayed request failed: %v", err)
 	}
-	resp.Body.Close() //lint:allow errdiscard test close
+	resp.Body.Close()
 	if b.hits.Load() != 1 {
 		t.Fatalf("delayed request did not arrive (%d hits)", b.hits.Load())
 	}
@@ -201,7 +201,7 @@ func TestNetFaultsUnmappedHostPassesThrough(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unmapped-host request failed: %v", err)
 	}
-	resp.Body.Close() //lint:allow errdiscard test close
+	resp.Body.Close()
 	if b.hits.Load() != 1 {
 		t.Fatalf("unmapped-host request did not arrive (%d hits)", b.hits.Load())
 	}

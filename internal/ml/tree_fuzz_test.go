@@ -3,7 +3,7 @@ package ml
 import (
 	"context"
 	"math"
-	"math/rand" //lint:allow determinism consumes injected *rand.Rand; construction only via stats.NewRNG
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"

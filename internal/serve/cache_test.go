@@ -17,7 +17,7 @@ func rawResult(t *testing.T, baseURL, id string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //lint:allow errdiscard read-only close in test
+	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)

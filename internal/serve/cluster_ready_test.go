@@ -197,11 +197,11 @@ func TestRetryAfterGarbageIgnored(t *testing.T) {
 			if hits.Add(1) <= 2 {
 				w.Header().Set("Retry-After", hdr)
 				w.WriteHeader(http.StatusTooManyRequests)
-				_ = json.NewEncoder(w).Encode(errorBody{Error: "busy"}) //lint:allow errdiscard test handler
+				_ = json.NewEncoder(w).Encode(errorBody{Error: "busy"})
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(`{"status":"ok"}`)) //lint:allow errdiscard test handler
+			_, _ = w.Write([]byte(`{"status":"ok"}`))
 		}))
 		c := NewRetryingClient(srv.URL, fastPolicy())
 		if _, err := c.Health(context.Background()); err != nil {
@@ -247,7 +247,7 @@ func TestBreakerConcurrentHalfOpenProbe(t *testing.T) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"status":"ok"}`)) //lint:allow errdiscard test handler
+		_, _ = w.Write([]byte(`{"status":"ok"}`))
 	}))
 	defer srv.Close()
 

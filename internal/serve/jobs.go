@@ -280,7 +280,6 @@ func (e *engine) endLocal(j *job, st State, msg string) {
 		return
 	}
 	j.rec.State, j.rec.Error = st, msg
-	//lint:allow journalgate the local-only end: every caller has found the journal unwritable (or fenced) for this job, and the doc comment lists the cases
 	e.finishLocked(j, "")
 }
 

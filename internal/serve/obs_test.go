@@ -94,7 +94,7 @@ func TestForwardMintsDeterministicTraceID(t *testing.T) {
 		vias = append(vias, r.Header.Get("X-Remedy-Forwarded"))
 		mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{}`)) //lint:allow errdiscard test stub response
+		w.Write([]byte(`{}`))
 	}))
 	defer leader.Close()
 
@@ -174,7 +174,7 @@ func TestPerRouteInstrumentationBoundsCardinality(t *testing.T) {
 	// Many distinct job IDs must collapse into one route series — the
 	// label is the mux pattern, not the raw URL.
 	for _, id := range []string{"job-000001", "job-000002", "job-000003"} {
-		_, _ = c.Job(ctx, id) //lint:allow errdiscard 404s are fine; only the route accounting matters
+		_, _ = c.Job(ctx, id) // 404s are fine; only the route accounting matters
 	}
 	snap := srv.Metrics().Snapshot()
 	if got := snap.Counters[`serve.http_requests_total{route="GET /jobs/{id}",status="4xx"}`]; got != 3 {

@@ -167,7 +167,7 @@ func TestSubmitIdempotencyKeyDeterministic(t *testing.T) {
 }
 
 func readJSONBody(r *http.Request, out any) error {
-	defer r.Body.Close() //lint:allow errdiscard test helper reading a request body
+	defer r.Body.Close()
 	return json.NewDecoder(r.Body).Decode(out)
 }
 
@@ -261,10 +261,10 @@ func TestRetryNoGoroutineLeakOnCancel(t *testing.T) {
 	// Idle keep-alive connections hold pool goroutines on both sides;
 	// drain them so the count below reflects only the retry machinery.
 	srv.CloseClientConnections()
-	deadline := time.Now().Add(2 * time.Second) //lint:allow determinism test-only goroutine settle deadline
+	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+2 {
 		http.DefaultClient.CloseIdleConnections()
-		if time.Now().After(deadline) { //lint:allow determinism test-only goroutine settle deadline
+		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -1,17 +1,12 @@
 #!/bin/sh
-# bench.sh — run the root benchmark suite (bench_test.go: every paper
-# figure in quick mode plus the identify and classifier micro-benchmarks) and
-# the layer benchmarks of internal/dataset (ReadCSV of an Adult-size CSV,
-# bucketizing an Adult-size column), internal/ml (one fit per model),
-# internal/core (preload and optimized identify), internal/divexplorer
-# (one FPR audit of the Adult test split), internal/durable (Reduce of
-# a 10k-record journal, one journal append with and without fsync) and
-# internal/remedy (each technique on synthetic ProPublica, incremental
-# vs recounted massaging on synthetic Adult),
-# and write the machine-readable BENCH_*.json artifact that tracks the
-# repo's perf trajectory across PRs. Each row records its package; the
-# file records the GOMAXPROCS the rows ran at and the Go version.
-# scripts/benchdiff.go compares two such files.
+# bench.sh — run every benchmark of the module (go test -bench over
+# ./...: the paper figures in quick mode in bench_test.go plus each
+# layer's own benchmarks) and write the machine-readable BENCH_*.json
+# artifact that tracks the repo's perf trajectory across PRs. Each row
+# records its package; the file records the GOMAXPROCS the rows ran at
+# and the Go version. scripts/benchdiff.go compares two such files.
+# bench/ is its own module (the end-to-end workloads) and is not part
+# of this run.
 #
 # Usage:
 #   scripts/bench.sh BENCH_8.json           # default -benchtime 5x
@@ -35,9 +30,7 @@ out="${1:-BENCH_dev.json}"
 benchtime="${BENCHTIME:-5x}"
 
 echo "== go test -bench . -benchtime $benchtime (writing $out)"
-go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count 1 \
-    . ./internal/dataset/ ./internal/ml/ ./internal/core/ ./internal/divexplorer/ ./internal/durable/ \
-    ./internal/remedy/ \
+go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count 1 ./... \
     | tee /dev/stderr \
     | go run scripts/benchjson.go > "$out"
 echo "== wrote $out"
