@@ -19,7 +19,7 @@
 // fair-share weight, the number of concurrent virtual clients, and the
 // jobs each client submits. Without -serve-url the harness boots an
 // in-process server whose tenant weights mirror the mix, which is how
-// `make load-check` runs it.
+// `go test -race -count=1 ./cmd/remedyload/` runs it.
 package main
 
 import (

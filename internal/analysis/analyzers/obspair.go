@@ -22,8 +22,8 @@ import (
 //     closure that ends it) is always fine;
 //   - otherwise every `return` after the StartSpan must be preceded —
 //     between the start and the return — by an End of that span,
-//     either directly or by calling a local closure that ends it (the
-//     loop-scoped `endLevel()` pattern in core/identify);
+//     either directly or by calling a local closure that ends it (a
+//     loop-scoped `endIter()` that closes each iteration's span);
 //   - passing the span to another function (`defer finishSpan(sp, …)`)
 //     counts as an End when that same-package callee ends the
 //     corresponding parameter; callees the analyzer cannot see into

@@ -18,7 +18,7 @@ func fails() error            { return errFixture }
 func failsWith() (int, error) { return 0, errFixture }
 
 func discards() int {
-	_ = fails() // want "discarded via blank identifier"
+	_ = fails()         // want "discarded via blank identifier"
 	n, _ := failsWith() // want "discarded via blank identifier"
 	return n
 }

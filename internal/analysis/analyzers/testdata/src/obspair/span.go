@@ -32,8 +32,8 @@ func earlyReturn(ctx context.Context, fail bool) error {
 	return nil
 }
 
-// The loop-scoped closure-ender pattern from core/identify: each
-// iteration's span is ended by calling a local closure.
+// The loop-scoped closure-ender pattern: each iteration's span is
+// ended by calling a local closure.
 func loopClosure(ctx context.Context, n int) {
 	var sp *obs.Span
 	endIter := func() { sp.End() }

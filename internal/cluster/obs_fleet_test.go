@@ -13,7 +13,7 @@ import (
 )
 
 // TestObsFleetStitchedTraceAndFederation is the fleet-observability
-// acceptance test (make obs-fleet-check runs it under -race): a
+// acceptance test (go test -race -run ObsFleet ./internal/cluster/): a
 // three-node fleet steals a job, and afterwards (1) the leader's
 // per-job trace is one stitched timeline carrying spans from at least
 // two distinct node IDs under a deterministic trace ID, and (2)

@@ -103,7 +103,7 @@ func TestNaiveAgreesAcrossBackends(t *testing.T) {
 		cfg := Config{TauC: 0.2, T: T, MinSize: 10}
 		var got []*Result
 		for _, bk := range backends {
-			res, err := newHierarchyOn(t, d, bk.b).IdentifyNaive(cfg)
+			res, err := newHierarchyOn(t, d, bk.b).IdentifyNaiveCtx(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestBackendRule(t *testing.T) {
 		wide.Append(row, int8(r%2))
 	}
 	h := newHierarchyOn(t, wide, undecided)
-	if _, err := h.IdentifyOptimized(Config{TauC: 0.2, T: 1, Scope: Top}); err != nil {
+	if _, err := h.IdentifyOptimizedCtx(context.Background(), Config{TauC: 0.2, T: 1, Scope: Top}); err != nil {
 		t.Fatal(err)
 	}
 	if h.lat.Cube() != nil {
@@ -159,6 +159,29 @@ func (f *fuzzBytes) next() int {
 	return int(b)
 }
 
+// schema draws a schema of 1–6 protected attributes, each of
+// cardinality 2–6.
+func (f *fuzzBytes) schema() *dataset.Schema {
+	s := &dataset.Schema{Target: "y"}
+	for i, dim := 0, 1+f.next()%6; i < dim; i++ {
+		vals := make([]string, 2+f.next()%5)
+		for v := range vals {
+			vals[v] = fmt.Sprint(v)
+		}
+		s.Attrs = append(s.Attrs, dataset.Attr{Name: fmt.Sprintf("a%d", i), Values: vals, Protected: true})
+	}
+	return s
+}
+
+// row draws a row of s.
+func (f *fuzzBytes) row(s *dataset.Schema) []int32 {
+	row := make([]int32, len(s.Attrs))
+	for i := range row {
+		row[i] = int32(f.next() % len(s.Attrs[i].Values))
+	}
+	return row
+}
+
 // FuzzHierarchyCounts drives both layouts through a random schema,
 // random rows and a random sequence of AddRow/RemoveRow/FlipRow, with
 // the first count read, of a random region, at a random point of the
@@ -171,21 +194,8 @@ func FuzzHierarchyCounts(f *testing.F) {
 	f.Add([]byte{5, 4, 4, 4, 4, 4, 4, 40, 9, 200, 17, 33, 65, 129, 7, 12, 0, 0, 0, 1, 2, 3, 5, 8, 13, 21, 34})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
-		s := &dataset.Schema{Target: "y"}
-		for i, dim := 0, 1+in.next()%6; i < dim; i++ {
-			vals := make([]string, 2+in.next()%5)
-			for v := range vals {
-				vals[v] = fmt.Sprint(v)
-			}
-			s.Attrs = append(s.Attrs, dataset.Attr{Name: fmt.Sprintf("a%d", i), Values: vals, Protected: true})
-		}
-		randRow := func() []int32 {
-			row := make([]int32, len(s.Attrs))
-			for i := range row {
-				row[i] = int32(in.next() % len(s.Attrs[i].Values))
-			}
-			return row
-		}
+		s := in.schema()
+		randRow := func() []int32 { return in.row(s) }
 		// Two thirds positive, so small regions often have |r-| = 0.
 		randLabel := func() int8 {
 			if in.next()%3 == 0 {

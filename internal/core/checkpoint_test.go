@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -82,7 +83,7 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 		res := mustIdentify(t, IdentifyOptimized, d, rcfg)
 		identicalResults(t, res, full)
 
-		// The parallel traversal honors the same snapshots.
+		// Every worker count honors the same snapshots.
 		pcfg := rcfg
 		pcfg.Workers = 4
 		pres := mustIdentify(t, IdentifyOptimized, d, pcfg)
@@ -142,19 +143,28 @@ func TestOnLevelErrorAbortsTraversal(t *testing.T) {
 	}
 }
 
-func TestOnLevelForcesSequentialPath(t *testing.T) {
+// TestOnLevelSnapshotsSameAtAnyWorkerCount: the level barrier makes
+// the checkpoints independent of the fan-out, so Workers=4 cuts the
+// same snapshots, region order included, as Workers=1.
+func TestOnLevelSnapshotsSameAtAnyWorkerCount(t *testing.T) {
 	d := biasedData(t)
-	var snaps []LevelSnapshot
-	cfg := Config{TauC: 0.2, T: 1, Workers: 4, OnLevel: func(_ context.Context, snap LevelSnapshot) error {
-		snaps = append(snaps, snap)
-		return nil
-	}}
-	res := mustIdentify(t, IdentifyOptimized, d, cfg)
-	if len(snaps) != 3 {
-		t.Fatalf("got %d snapshots with Workers=4, want 3 (sequential fallback)", len(snaps))
+	run := func(workers int) ([]LevelSnapshot, *Result) {
+		var snaps []LevelSnapshot
+		cfg := Config{TauC: 0.2, T: 1, MinSize: 10, Workers: workers, OnLevel: func(_ context.Context, snap LevelSnapshot) error {
+			snaps = append(snaps, snap)
+			return nil
+		}}
+		return snaps, mustIdentify(t, IdentifyOptimized, d, cfg)
 	}
-	full := mustIdentify(t, IdentifyOptimized, d, Config{TauC: 0.2, T: 1})
-	identicalResults(t, res, full)
+	seqSnaps, seq := run(1)
+	parSnaps, par := run(4)
+	if len(seqSnaps) != 3 {
+		t.Fatalf("got %d snapshots with Workers=1, want 3", len(seqSnaps))
+	}
+	if !reflect.DeepEqual(parSnaps, seqSnaps) {
+		t.Fatalf("Workers=4 snapshots differ from Workers=1:\n got %+v\nwant %+v", parSnaps, seqSnaps)
+	}
+	identicalResults(t, par, seq)
 }
 
 func TestCheckpointConfigValidation(t *testing.T) {

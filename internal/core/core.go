@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/pattern"
 )
 
@@ -69,10 +68,9 @@ type Config struct {
 	// ordered domains discussed under Def. 4 (only meaningful with
 	// T=1, and only supported by the naïve algorithm).
 	OrderedDistance bool
-	// Workers, when above 1, parallelizes the optimized identification:
-	// the hierarchy's counts are preloaded and the per-node scans are
-	// fanned out across that many goroutines. The
-	// result is identical to the sequential run.
+	// Workers, when above 1, scans each level of the optimized
+	// traversal on up to that many goroutines. The Result and the
+	// OnLevel snapshots are identical at every count.
 	Workers int
 	// EuclideanT, when positive, selects the fully general Def. 4
 	// metric: the neighboring region is the Euclidean ball of this
@@ -87,21 +85,20 @@ type Config struct {
 	// regions and work counters — the checkpoint hook long-running
 	// identifications persist through so a crash resumes from the last
 	// completed level. A non-nil error aborts the traversal and is
-	// returned with the partial Result. Setting OnLevel forces the
-	// sequential optimized path (the parallel fan-out has no level
-	// barrier to checkpoint at) and is rejected alongside
-	// OrderedDistance or EuclideanT, whose naïve traversal does not
-	// checkpoint. Never marshaled (func); resumable state lives in the
-	// snapshots it is handed.
+	// returned with the partial Result. It is called at the level
+	// barrier, after the level's workers are joined, at every Workers
+	// count; a level cut short by an error or cancellation is not
+	// checkpointed. Rejected alongside OrderedDistance or EuclideanT,
+	// whose naïve traversal does not checkpoint. Never marshaled
+	// (func); resumable state lives in the snapshots it is handed.
 	OnLevel func(ctx context.Context, snap LevelSnapshot) error `json:"-"`
 	// Resume seeds the traversal with previously checkpointed levels:
 	// their regions and counters are folded into the Result and their
 	// masks are skipped, so an interrupted identification re-run with
 	// the same Config and data produces a Result identical to an
-	// uninterrupted run. Honored by both the sequential and parallel
-	// optimized traversals; snapshots for levels outside the Scope are
-	// ignored. Duplicate levels keep the last snapshot (recovery
-	// journals are last-wins).
+	// uninterrupted run, at any Workers count. Snapshots for levels
+	// outside the Scope are ignored. Duplicate levels keep the last
+	// snapshot (recovery journals are last-wins).
 	Resume []LevelSnapshot `json:"-"`
 }
 
@@ -116,6 +113,14 @@ type LevelSnapshot struct {
 	Explored    int      `json:"explored"`
 	NeighborOps int      `json:"neighbor_ops"`
 	Pruned      int      `json:"pruned"`
+}
+
+// add appends o's regions to s and adds its work counters.
+func (s *LevelSnapshot) add(o LevelSnapshot) {
+	s.Regions = append(s.Regions, o.Regions...)
+	s.Explored += o.Explored
+	s.NeighborOps += o.NeighborOps
+	s.Pruned += o.Pruned
 }
 
 // DefaultMinSize is the paper's rule-of-thumb region size threshold k.
@@ -279,33 +284,44 @@ func (h *Hierarchy) count(p pattern.Pattern) pattern.Counts {
 	return pattern.Counts{N: int(c[0] + c[1]), Pos: int(c[1])}
 }
 
-// PreloadCtx materializes every count so subsequent reads (including
-// concurrent ones) only read: it counts the lattice if it is missing
-// and fills its sparse layout. It runs as one counting shard under the
-// full-lattice mask, so workers is ignored: one roll-up pass over the
-// non-empty regions leaves nothing to fan out. A cancelled ctx returns
-// ctx.Err() before counting. A panic while counting is recovered into
-// a *WorkerPanicError; the hierarchy remains usable and recounts on
-// the next read.
-func (h *Hierarchy) PreloadCtx(ctx context.Context, workers int) (err error) {
-	full := uint32(1)<<uint(h.Space.Dim()) - 1
-	ctx, psp := obs.StartSpan(ctx, "core.preload")
-	defer psp.End()
+// PreloadCtx counts the lattice and fills every node, so that
+// subsequent reads (including concurrent ones) only read. workers is
+// ignored: the fill is one roll-up pass. It has fill's contract.
+func (h *Hierarchy) PreloadCtx(ctx context.Context, workers int) error {
+	masks := make([]uint32, 1<<uint(h.Space.Dim()))
+	for i := range masks {
+		masks[i] = uint32(len(masks) - 1 - i) // each node after its supersets
+	}
+	return h.fill(ctx, masks)
+}
+
+// fill makes the counts of the nodes masks ready for concurrent reads:
+// it counts the lattice if it is missing, then derives the sparse
+// layout's nodes in order (the dense cube is always filled). A
+// cancelled ctx returns ctx.Err() before counting. faults.PreloadWorker
+// fires first, with the union of masks. A panic is recovered into a
+// *WorkerPanicError and drops the half-filled lattice: the hierarchy
+// stays usable and recounts on the next read.
+func (h *Hierarchy) fill(ctx context.Context, masks []uint32) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	var union uint32
+	for _, m := range masks {
+		union |= m
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			h.lat = nil
-			err = &WorkerPanicError{Mask: full, Value: r, Stack: debug.Stack()}
+			err = &WorkerPanicError{Mask: union, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if faults.Active() {
-		if err := faults.FireCtx(ctx, faults.PreloadWorker, full); err != nil {
-			return fmt.Errorf("core: preload node %#x: %w", full, err)
+		if err := faults.FireCtx(ctx, faults.PreloadWorker, union); err != nil {
+			return fmt.Errorf("core: fill nodes %#x: %w", union, err)
 		}
 	}
-	h.lattice().Fill()
+	h.lattice().Fill(masks)
 	return nil
 }
 

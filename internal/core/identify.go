@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -34,9 +34,6 @@ func recordIdentifyMetrics(ctx context.Context, res *Result) {
 // finishIdentifySpan stamps the result attributes on an identification
 // span and ends it.
 func finishIdentifySpan(sp *obs.Span, res *Result) {
-	if sp == nil {
-		return
-	}
 	sp.SetInt("explored", int64(res.Explored))
 	sp.SetInt("pruned", int64(res.Pruned))
 	sp.SetInt("regions", int64(len(res.Regions)))
@@ -110,14 +107,9 @@ func IdentifyNaiveCtx(ctx context.Context, d *dataset.Dataset, cfg Config) (*Res
 	return h.IdentifyNaiveCtx(ctx, cfg)
 }
 
-// IdentifyNaive is the method form operating on an existing hierarchy,
-// reusing its memoized counts.
-func (h *Hierarchy) IdentifyNaive(cfg Config) (*Result, error) {
-	return h.IdentifyNaiveCtx(context.Background(), cfg)
-}
-
-// IdentifyNaiveCtx is the context-aware method form. On cancellation it
-// returns the regions identified so far together with ctx.Err().
+// IdentifyNaiveCtx is the method form operating on an existing
+// hierarchy, reusing its memoized counts. On cancellation it returns
+// the regions identified so far together with ctx.Err().
 func (h *Hierarchy) IdentifyNaiveCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -157,7 +149,7 @@ func (h *Hierarchy) IdentifyNaiveCtx(ctx context.Context, cfg Config) (*Result, 
 			default:
 				h.Space.Neighbors(p, cfg.T, visit)
 			}
-			appendIfBiased(res, p, rc, nc, cfg.TauC)
+			res.Regions = appendIfBiased(res.Regions, p, rc, nc, cfg.TauC)
 			return true
 		})
 		if c.err != nil {
@@ -181,10 +173,10 @@ func IdentifyOptimized(d *dataset.Dataset, cfg Config) (*Result, error) {
 }
 
 // IdentifyOptimizedCtx is IdentifyOptimized under a context. The
-// traversal (sequential or parallel) checks ctx cooperatively; on
-// cancellation the partial Result identified so far is returned
-// alongside ctx.Err(). A panic inside a parallel worker is recovered
-// and surfaces as a *WorkerPanicError instead of crashing the process.
+// traversal checks ctx cooperatively; on cancellation the partial
+// Result identified so far is returned alongside ctx.Err(). A panic
+// inside a node scan is recovered and surfaces as a *WorkerPanicError
+// instead of crashing the process.
 func IdentifyOptimizedCtx(ctx context.Context, d *dataset.Dataset, cfg Config) (*Result, error) {
 	h, err := NewHierarchy(d)
 	if err != nil {
@@ -193,15 +185,14 @@ func IdentifyOptimizedCtx(ctx context.Context, d *dataset.Dataset, cfg Config) (
 	return h.IdentifyOptimizedCtx(ctx, cfg)
 }
 
-// IdentifyOptimized is the method form operating on an existing
-// hierarchy.
-func (h *Hierarchy) IdentifyOptimized(cfg Config) (*Result, error) {
-	return h.IdentifyOptimizedCtx(context.Background(), cfg)
-}
-
-// IdentifyOptimizedCtx is the context-aware method form; see
-// IdentifyOptimizedCtx (package form) for the cancellation and
-// panic-recovery contract.
+// IdentifyOptimizedCtx is the method form operating on an existing
+// hierarchy; see IdentifyOptimizedCtx (package form) for the
+// cancellation and panic-recovery contract.
+//
+// The traversal is level-synchronous: bottom-up, each level of the
+// scope either folds in its Resume snapshot or is scanned by scanLevel,
+// and a scanned level ends at a barrier where its checkpoint is cut.
+// The Result and the checkpoints are the same at every Workers count.
 func (h *Hierarchy) IdentifyOptimizedCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -211,229 +202,151 @@ func (h *Hierarchy) IdentifyOptimizedCtx(ctx context.Context, cfg Config) (*Resu
 		// unit-distance setting; fall back to the naïve traversal.
 		return h.IdentifyNaiveCtx(ctx, cfg)
 	}
-	if cfg.Workers > 1 && cfg.OnLevel == nil {
-		// OnLevel forces the sequential path: checkpoints are cut at
-		// level barriers, which the parallel fan-out does not have.
-		return h.identifyOptimizedParallel(ctx, cfg)
-	}
 	ctx, sp := obs.StartSpan(ctx, "core.identify.optimized")
 	sp.SetStr("scope", cfg.Scope.String())
 	sp.SetInt("T", int64(cfg.T))
+	sp.SetInt("workers", int64(cfg.Workers))
 	res := &Result{Space: h.Space, Config: cfg}
 	defer finishIdentifySpan(sp, res)
 	defer recordIdentifyMetrics(ctx, res)
-	c := &canceler{}
 	levelHist := obs.MetricsFrom(ctx).Histogram("identify.level_ms", obs.DefaultDurationBucketsMS)
 	resume := cfg.resumeByLevel()
-	applied := make(map[int]bool, len(resume))
-	var (
-		lvlSpan  *obs.Span
-		curLevel = -1
-		lvlStart time.Time
-		// Counter values at the current level's start, so the level's
-		// checkpoint carries deltas.
-		lvlRegs, lvlExp, lvlNbr, lvlPrn int
-	)
-	// endLevel closes the open level's span; when the level ran to
-	// completion it also cuts the checkpoint, whose error aborts the
-	// traversal.
-	endLevel := func(completed bool) error {
-		if curLevel < 0 {
-			return nil
+	var all LevelSnapshot // every level so far, in traversal order
+	var err error
+	for masks := h.masksForScope(cfg.Scope); len(masks) > 0 && err == nil; {
+		lv, n := levelOf(masks[0]), 1
+		for n < len(masks) && levelOf(masks[n]) == lv {
+			n++
 		}
-		lvlSpan.End()
-		levelHist.Observe(float64(time.Since(lvlStart).Microseconds()) / 1000)
-		lv := curLevel
-		curLevel = -1
-		if !completed || cfg.OnLevel == nil {
-			return nil
-		}
-		return cfg.OnLevel(ctx, LevelSnapshot{
-			Level:       lv,
-			Regions:     append([]Region(nil), res.Regions[lvlRegs:]...),
-			Explored:    res.Explored - lvlExp,
-			NeighborOps: res.NeighborOps - lvlNbr,
-			Pruned:      res.Pruned - lvlPrn,
-		})
-	}
-	for _, mask := range h.masksForScope(cfg.Scope) {
-		// The bottom-up traversal visits the lattice level by level;
-		// each level gets its own timing span so the trace shows where
-		// the walk spends its time (the leaf level dominates).
-		lv := levelOf(mask)
+		level := masks[:n]
+		masks = masks[n:]
 		if snap, ok := resume[lv]; ok {
 			// Checkpointed by a previous attempt: fold the snapshot in
-			// once and skip the level's masks entirely.
-			if !applied[lv] {
-				if err := endLevel(true); err != nil {
-					h.sortRegions(res.Regions)
-					return res, err
-				}
-				res.Regions = append(res.Regions, snap.Regions...)
-				res.Explored += snap.Explored
-				res.NeighborOps += snap.NeighborOps
-				res.Pruned += snap.Pruned
-				applied[lv] = true
-			}
+			// and skip the level's masks.
+			all.add(snap)
 			continue
 		}
-		if lv != curLevel {
-			if err := endLevel(true); err != nil {
-				h.sortRegions(res.Regions)
-				return res, err
-			}
-			//lint:allow obspair lvlSpan is ended by the endLevel closure on every path, but the closure is always invoked in if-init position (`if err := endLevel(...)`) which the source-order scan cannot credit as an End
-			_, lvlSpan = obs.StartSpan(ctx, "core.identify.level")
-			lvlSpan.SetInt("level", int64(lv))
-			curLevel = lv
-			lvlRegs, lvlExp, lvlNbr, lvlPrn = len(res.Regions), res.Explored, res.NeighborOps, res.Pruned
-			//lint:allow determinism level timing feeds the trace histogram only; pipeline output is unaffected
-			lvlStart = time.Now()
-		}
-		h.scanNodeOptimized(ctx, mask, cfg, res, c)
-		if c.err != nil {
-			break
+		// Each level gets its own timing span so the trace shows where
+		// the walk spends its time (the leaf level dominates).
+		_, lvlSpan := obs.StartSpan(ctx, "core.identify.level")
+		lvlSpan.SetInt("level", int64(lv))
+		//lint:allow determinism level timing feeds the trace histogram only; pipeline output is unaffected
+		start := time.Now()
+		before := all
+		err = h.scanLevel(ctx, level, cfg, &all)
+		lvlSpan.End()
+		levelHist.Observe(float64(time.Since(start).Microseconds()) / 1000)
+		if err == nil && cfg.OnLevel != nil {
+			err = cfg.OnLevel(ctx, LevelSnapshot{
+				Level:       lv,
+				Regions:     append([]Region(nil), all.Regions[len(before.Regions):]...),
+				Explored:    all.Explored - before.Explored,
+				NeighborOps: all.NeighborOps - before.NeighborOps,
+				Pruned:      all.Pruned - before.Pruned,
+			})
 		}
 	}
-	if err := endLevel(c.err == nil); err != nil {
-		h.sortRegions(res.Regions)
-		return res, err
-	}
+	res.Regions, res.Explored, res.NeighborOps, res.Pruned = all.Regions, all.Explored, all.NeighborOps, all.Pruned
 	if lg := obs.LoggerFrom(ctx); lg.On(obs.LevelDebug) {
 		lg.Scope("core").Debug("identify done",
 			"explored", res.Explored, "pruned", res.Pruned, "regions", len(res.Regions))
 	}
 	h.sortRegions(res.Regions)
-	return res, c.err
+	return res, err
 }
 
-// identifyOptimizedParallel preloads every count and scans the nodes
-// concurrently. After Preload the counts are read-only, so the per-node
-// scans share them without synchronization; each goroutine accumulates
-// into a private Result and the shards merge deterministically.
-//
-// Failure handling: a panic inside a worker is recovered into a
-// *WorkerPanicError carrying the node mask, and the first failure —
-// panic, injected fault, or cancellation of ctx — cancels the remaining
-// shards. All workers are joined before returning, so no goroutines
-// outlive the call; completed shards still merge into the returned
-// (partial) Result.
-func (h *Hierarchy) identifyOptimizedParallel(ctx context.Context, cfg Config) (*Result, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ctx, sp := obs.StartSpan(ctx, "core.identify.parallel")
-	sp.SetStr("scope", cfg.Scope.String())
-	sp.SetInt("workers", int64(cfg.Workers))
-	if err := h.PreloadCtx(ctx, cfg.Workers); err != nil {
-		sp.End()
-		return &Result{Space: h.Space, Config: cfg}, err
+// scanLevel scans the nodes masks of one level into out. It fills the
+// counts the level reads, then scans the nodes on min(Workers,
+// len(masks)) goroutines, or inline when that is one, and adds the
+// per-node shards to out in mask order. The first failure cancels the
+// rest of the level, and every worker is joined before scanLevel
+// returns. A worker's error outranks ctx.Err(): a panic or injected
+// fault also cancels the level, and the cause beats the symptom. On an
+// error out holds the nodes scanned so far.
+func (h *Hierarchy) scanLevel(ctx context.Context, masks []uint32, cfg Config, out *LevelSnapshot) error {
+	if err := h.fill(ctx, h.levelReads(masks, cfg.T)); err != nil {
+		return err
 	}
-	masks := h.masksForScope(cfg.Scope)
-	// Resumed levels are folded in from their snapshots at the merge and
-	// their masks dropped from the fan-out.
-	resume := cfg.resumeByLevel()
-	if resume != nil {
-		kept := make([]uint32, 0, len(masks))
-		for _, m := range masks {
-			if _, ok := resume[levelOf(m)]; !ok {
-				kept = append(kept, m)
+	workers := min(cfg.Workers, len(masks))
+	if workers <= 1 {
+		// Inline, in mask order: every node scans straight into out.
+		for i := 0; i < len(masks) && ctx.Err() == nil; i++ {
+			if err := h.scanMask(ctx, masks[i], cfg, out); err != nil {
+				return err
 			}
 		}
-		masks = kept
+		return ctx.Err()
 	}
-	shards := make([]*Result, len(masks))
+	shards := make([]LevelSnapshot, len(masks))
 	errs := make([]error, len(masks))
-	sem := make(chan struct{}, cfg.Workers)
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var next atomic.Int32
 	var wg sync.WaitGroup
-dispatch:
-	for i, mask := range masks {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break dispatch
-		}
-		wg.Add(1)
-		go func(i int, mask uint32) {
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = &WorkerPanicError{Mask: mask, Value: r, Stack: debug.Stack()}
-					cancel() // first failure stops the remaining shards
-				}
-			}()
-			if ctx.Err() != nil {
-				return
-			}
-			// Each worker shard gets its own span under the parallel
-			// parent, so the trace shows the fan-out and any straggler
-			// nodes. The deferred End runs during panic unwinding, ahead
-			// of the recover above, so crashed shards stay visible.
-			wctx, ssp := obs.StartSpan(ctx, "core.identify.shard")
-			ssp.SetInt("node", int64(mask))
-			defer ssp.End()
-			if faults.Active() {
-				if err := faults.FireCtx(wctx, faults.IdentifyWorker, mask); err != nil {
-					errs[i] = fmt.Errorf("core: identify node %#x: %w", mask, err)
+			for i := int(next.Add(1)) - 1; i < len(masks) && wctx.Err() == nil; i = int(next.Add(1)) - 1 {
+				if errs[i] = h.scanMask(wctx, masks[i], cfg, &shards[i]); errs[i] != nil {
 					cancel()
-					return
 				}
 			}
-			shard := &Result{Space: h.Space, Config: cfg}
-			h.scanNodeOptimized(wctx, mask, cfg, shard, &canceler{})
-			ssp.SetInt("regions", int64(len(shard.Regions)))
-			shards[i] = shard
-		}(i, mask)
+		}()
 	}
 	wg.Wait()
-	res := &Result{Space: h.Space, Config: cfg}
 	for _, shard := range shards {
-		if shard == nil {
-			continue
-		}
-		res.Regions = append(res.Regions, shard.Regions...)
-		res.Explored += shard.Explored
-		res.NeighborOps += shard.NeighborOps
-		res.Pruned += shard.Pruned
+		out.add(shard)
 	}
-	if resume != nil {
-		inScope := make(map[int]bool)
-		for _, m := range h.masksForScope(cfg.Scope) {
-			inScope[levelOf(m)] = true
-		}
-		lvls := make([]int, 0, len(resume))
-		for lv := range resume {
-			if inScope[lv] {
-				lvls = append(lvls, lv)
-			}
-		}
-		sort.Ints(lvls)
-		for _, lv := range lvls {
-			snap := resume[lv]
-			res.Regions = append(res.Regions, snap.Regions...)
-			res.Explored += snap.Explored
-			res.NeighborOps += snap.NeighborOps
-			res.Pruned += snap.Pruned
-		}
-	}
-	finishIdentifySpan(sp, res)
-	recordIdentifyMetrics(ctx, res)
-	h.sortRegions(res.Regions)
-	// Worker failures outrank plain cancellation: a panic or injected
-	// fault also cancels ctx, and reporting the cause beats reporting
-	// the symptom.
 	for _, err := range errs {
 		if err != nil {
-			return res, err
+			return err
 		}
 	}
-	return res, ctx.Err()
+	return ctx.Err()
+}
+
+// levelReads returns the nodes a level's scan reads: the level's own
+// masks, then every node T levels up (none once T reaches the level,
+// whose neighborhoods come from the totals).
+func (h *Hierarchy) levelReads(masks []uint32, T int) []uint32 {
+	up := levelOf(masks[0]) - T
+	if up <= 0 {
+		return masks
+	}
+	reads := masks[:len(masks):len(masks)]
+	for m := uint32(1); m < uint32(1)<<uint(h.Space.Dim()); m++ {
+		if levelOf(m) == up {
+			reads = append(reads, m)
+		}
+	}
+	return reads
+}
+
+// scanMask is the traversal's one per-node scan, at every worker
+// count: it fires faults.IdentifyWorker, scans node mask into out, and
+// recovers a panic into a *WorkerPanicError. A scan that ctx cuts short
+// returns nil; the level reports the cancellation.
+func (h *Hierarchy) scanMask(ctx context.Context, mask uint32, cfg Config, out *LevelSnapshot) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &WorkerPanicError{Mask: mask, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	if faults.Active() {
+		if err := faults.FireCtx(ctx, faults.IdentifyWorker, mask); err != nil {
+			return fmt.Errorf("core: identify node %#x: %w", mask, err)
+		}
+	}
+	h.scanNodeOptimized(ctx, mask, cfg, out, &canceler{})
+	return nil
 }
 
 // scanNodeOptimized runs the optimized per-node identification (lines
-// 4-12 of Algorithm 1) for one hierarchy node, appending biased regions
-// to res. The scan aborts early once c reports cancellation.
-func (h *Hierarchy) scanNodeOptimized(ctx context.Context, mask uint32, cfg Config, res *Result, c *canceler) {
+// 4-12 of Algorithm 1) for one hierarchy node, adding its biased
+// regions and work counters to out. The scan aborts early once c
+// reports cancellation.
+func (h *Hierarchy) scanNodeOptimized(ctx context.Context, mask uint32, cfg Config, out *LevelSnapshot, c *canceler) {
 	k := cfg.minSize()
 	d := levelOf(mask)
 	T := cfg.T
@@ -446,26 +359,22 @@ func (h *Hierarchy) scanNodeOptimized(ctx context.Context, mask uint32, cfg Conf
 		}
 		rc := h.count(p)
 		if rc.N <= k {
-			res.Pruned++
+			out.Pruned++
 			return true
 		}
-		res.Explored++
-		nc := h.neighborViaDominating(p, rc, T, res)
-		appendIfBiased(res, p, rc, nc, cfg.TauC)
+		out.Explored++
+		nc, ops := h.neighborViaDominating(p, rc, T)
+		out.NeighborOps += ops
+		out.Regions = appendIfBiased(out.Regions, p, rc, nc, cfg.TauC)
 		return true
 	})
 }
 
-// BiasedRegionsInNode identifies the biased regions of a single
+// BiasedRegionsInNodeCtx identifies the biased regions of a single
 // hierarchy node with the optimized algorithm — the GETBIASEDREGIONS
 // step of Algorithm 2, which the remedy loop re-runs per node against
-// the evolving dataset.
-func (h *Hierarchy) BiasedRegionsInNode(mask uint32, cfg Config) ([]Region, error) {
-	return h.BiasedRegionsInNodeCtx(context.Background(), mask, cfg)
-}
-
-// BiasedRegionsInNodeCtx is BiasedRegionsInNode under a context; on
-// cancellation the regions found so far return alongside ctx.Err().
+// the evolving dataset. On cancellation the regions found so far
+// return alongside ctx.Err().
 func (h *Hierarchy) BiasedRegionsInNodeCtx(ctx context.Context, mask uint32, cfg Config) ([]Region, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -476,7 +385,9 @@ func (h *Hierarchy) BiasedRegionsInNodeCtx(ctx context.Context, mask uint32, cfg
 	defer finishIdentifySpan(sp, res)
 	defer recordIdentifyMetrics(ctx, res)
 	c := &canceler{}
-	h.scanNodeOptimized(ctx, mask, cfg, res, c)
+	var node LevelSnapshot
+	h.scanNodeOptimized(ctx, mask, cfg, &node, c)
+	res.Regions, res.Explored, res.NeighborOps, res.Pruned = node.Regions, node.Explored, node.NeighborOps, node.Pruned
 	h.sortRegions(res.Regions)
 	return res.Regions, c.err
 }
@@ -490,15 +401,14 @@ func (h *Hierarchy) MasksForScope(s Scope) []uint32 { return h.masksForScope(s) 
 // the set R_d of dominating regions T levels up (line 9-10 of
 // Algorithm 1): remove T deterministic elements in every possible way,
 // sum the ancestors' counts, and subtract the |R_d|-fold over-count of
-// the region itself.
-func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, rc pattern.Counts, T int, res *Result) pattern.Counts {
+// the region itself. It also returns the number of aggregations.
+func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, rc pattern.Counts, T int) (pattern.Counts, int) {
 	d := p.Level()
 	if T >= d {
 		// R_d = {level-0 root}: the neighboring region is every sibling,
 		// i.e. the dataset totals minus the region.
-		res.NeighborOps++
 		tot := h.Totals()
-		return pattern.Counts{N: tot.N - rc.N, Pos: tot.Pos - rc.Pos}
+		return pattern.Counts{N: tot.N - rc.N, Pos: tot.Pos - rc.Pos}, 1
 	}
 	var sum pattern.Counts
 	size := 0
@@ -519,8 +429,7 @@ func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, rc pattern.Counts, 
 	} else {
 		h.ancestorsTLevelsUp(p, T, func(q pattern.Pattern) { add(h.count(q)) })
 	}
-	res.NeighborOps += size
-	return pattern.Counts{N: sum.N - size*rc.N, Pos: sum.Pos - size*rc.Pos}
+	return pattern.Counts{N: sum.N - size*rc.N, Pos: sum.Pos - size*rc.Pos}, size
 }
 
 // ancestorsTLevelsUp calls f for each pattern obtained from p by
@@ -554,15 +463,15 @@ func (h *Hierarchy) ancestorsTLevelsUp(p pattern.Pattern, T int, f func(pattern.
 	choose(0, T)
 }
 
-// appendIfBiased applies Def. 5: the region joins the IBS when
-// |ratio_r − ratio_rn| > τ_c. The −1 sentinel of Def. 3 (no negative
+// appendIfBiased applies Def. 5: the region joins the IBS, appended to
+// rs, when |ratio_r − ratio_rn| > τ_c. The −1 sentinel of Def. 3 (no negative
 // instances) participates numerically, as in the paper: an all-positive
 // region next to a balanced neighborhood is maximally suspicious.
-func appendIfBiased(res *Result, p pattern.Pattern, rc, nc pattern.Counts, tauC float64) {
+func appendIfBiased(rs []Region, p pattern.Pattern, rc, nc pattern.Counts, tauC float64) []Region {
 	ratio := rc.Ratio()
 	nratio := nc.Ratio()
 	if math.Abs(ratio-nratio) > tauC {
-		res.Regions = append(res.Regions, Region{
+		rs = append(rs, Region{
 			Pattern:        p.Clone(),
 			Counts:         rc,
 			Ratio:          ratio,
@@ -570,4 +479,5 @@ func appendIfBiased(res *Result, p pattern.Pattern, rc, nc pattern.Counts, tauC 
 			NeighborRatio:  nratio,
 		})
 	}
+	return rs
 }

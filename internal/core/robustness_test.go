@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
+	"math/bits"
 	"runtime"
 	"strings"
 	"testing"
@@ -30,29 +30,42 @@ func assertNoGoroutineLeak(t *testing.T, base int) {
 	}
 }
 
+// TestWorkerPanicSurfacesAsError runs the one node-scan wrapper at
+// both kinds of worker count, panicking on the level-1 nodes, which
+// Workers=4 scans on three goroutines. At Workers=1 the scan runs
+// inline, so the panic's stack still holds the traversal's own frame.
 func TestWorkerPanicSurfacesAsError(t *testing.T) {
 	defer faults.Reset()
 	base := runtime.NumGoroutine()
 	faults.Set(faults.IdentifyWorker, func(arg any) error {
-		panic("injected worker panic")
+		if bits.OnesCount32(arg.(uint32)) == 1 {
+			panic("injected worker panic")
+		}
+		return nil
 	})
-	res, err := IdentifyOptimizedCtx(context.Background(), synth.CompasN(2000, 5),
-		Config{TauC: 0.1, T: 1, Workers: 4})
-	var wp *WorkerPanicError
-	if !errors.As(err, &wp) {
-		t.Fatalf("err = %v, want *WorkerPanicError", err)
-	}
-	if wp.Value != "injected worker panic" {
-		t.Fatalf("panic value = %v", wp.Value)
-	}
-	if len(wp.Stack) == 0 {
-		t.Fatal("worker stack not captured")
-	}
-	if !strings.Contains(wp.Error(), "node") {
-		t.Fatalf("error text %q does not name the node", wp.Error())
-	}
-	if res == nil {
-		t.Fatal("partial result must be non-nil")
+	for _, workers := range []int{1, 4} {
+		res, err := IdentifyOptimizedCtx(context.Background(), synth.CompasN(2000, 5),
+			Config{TauC: 0.1, T: 1, Workers: workers})
+		var wp *WorkerPanicError
+		if !errors.As(err, &wp) {
+			t.Fatalf("workers=%d: err = %v, want *WorkerPanicError", workers, err)
+		}
+		if wp.Value != "injected worker panic" {
+			t.Fatalf("workers=%d: panic value = %v", workers, wp.Value)
+		}
+		if len(wp.Stack) == 0 {
+			t.Fatalf("workers=%d: worker stack not captured", workers)
+		}
+		if !strings.Contains(wp.Error(), "node") {
+			t.Fatalf("workers=%d: error text %q does not name the node", workers, wp.Error())
+		}
+		if res == nil {
+			t.Fatalf("workers=%d: partial result must be non-nil", workers)
+		}
+		inline := strings.Contains(string(wp.Stack), "IdentifyOptimizedCtx")
+		if inline != (workers == 1) {
+			t.Fatalf("workers=%d: scan ran inline = %v:\n%s", workers, inline, wp.Stack)
+		}
 	}
 	assertNoGoroutineLeak(t, base)
 }
@@ -84,24 +97,33 @@ func TestWorkerFaultErrorCancelsSiblings(t *testing.T) {
 	assertNoGoroutineLeak(t, base)
 }
 
+// TestPreloadWorkerPanicRecovered: a panic while a level's counts are
+// filled surfaces from an identify at Workers=2 as a *WorkerPanicError,
+// and the dropped lattice is recounted on the next read.
 func TestPreloadWorkerPanicRecovered(t *testing.T) {
 	defer faults.Reset()
 	base := runtime.NumGoroutine()
-	faults.Set(faults.PreloadWorker, func(arg any) error {
-		panic("preload boom")
-	})
 	d := synth.CompasN(1000, 9)
+	cfg := Config{TauC: 0.1, T: 1, Workers: 2}
 	for _, bk := range backends {
+		want := identifyOn(t, d, bk.b, cfg)
+		faults.Set(faults.PreloadWorker, func(arg any) error {
+			panic("preload boom")
+		})
 		h := newHierarchyOn(t, d, bk.b)
 		var wp *WorkerPanicError
-		if err := h.Preload(4); !errors.As(err, &wp) {
-			t.Fatalf("%s: Preload err = %v, want *WorkerPanicError", bk.name, err)
+		if _, err := h.IdentifyOptimizedCtx(context.Background(), cfg); !errors.As(err, &wp) {
+			t.Fatalf("%s: identify err = %v, want *WorkerPanicError", bk.name, err)
 		}
-		// The hierarchy stays usable: counts missing after the failed
-		// preload are computed on first read.
-		if got, want := h.Node(0b001), newHierarchyOn(t, d, bk.b).Node(0b001); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: node after failed preload %v, want %v", bk.name, got, want)
+		if h.lat != nil {
+			t.Fatalf("%s: half-filled lattice kept after the panic", bk.name)
 		}
+		faults.Clear(faults.PreloadWorker)
+		got, err := h.IdentifyOptimizedCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s: identify after failed fill: %v", bk.name, err)
+		}
+		identicalResults(t, got, want)
 	}
 	assertNoGoroutineLeak(t, base)
 }

@@ -1,0 +1,110 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/dataset"
+)
+
+// FuzzIdentifyTraversal checks the optimized traversal against
+// IdentifyNaive, which counts every neighbor by scanning the rows, on
+// a random schema, random rows and labels, and a random τ_c, MinSize
+// and Scope. Labels lean positive by a random bias, so small regions
+// often have |r−| = 0 and take the −1 ratio sentinel. Every variant of
+// the optimized traversal must match the oracle region for region,
+// counts and ratio bits included, and in Explored and Pruned: both
+// lattice layouts, Workers 1, 2 and 4, and a resume from every level
+// checkpoint. NeighborOps is the optimized algorithm's own cost, so it
+// must agree across those variants only.
+//
+// T is 1 or at least |X|. For 1 < T < |X| the dominating-region
+// formula over-weights near neighbors and does not match Def. 4 (the
+// exact-neighborhood item of ROADMAP.md), so those T are left out
+// until that is fixed.
+func FuzzIdentifyTraversal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 1, 2, 0, 1, 0, 0, 1, 60, 40, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{4, 3, 2, 4, 5, 1, 2, 2, 1, 90, 70, 2, 200, 17, 33, 65, 129, 7, 12, 99, 1, 2, 3, 5, 8, 13, 21, 34, 55})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		s := in.schema()
+		dim := len(s.Attrs)
+		cfg := Config{TauC: float64(in.next()%8) / 4, MinSize: 1 + in.next()%8, Scope: Scope(in.next() % 3), T: 1}
+		if in.next()%2 == 1 {
+			cfg.T = dim + in.next()%2
+		}
+		bias := 1 + in.next()%3 // a label is positive with chance bias/4
+		d := dataset.New(s)
+		for r, rows := 0, in.next()%64+in.next()%64; r < rows; r++ {
+			row := in.row(s)
+			var label int8
+			if in.next()%4 < bias {
+				label = 1
+			}
+			d.Append(row, label)
+		}
+		name := fmt.Sprintf("|X|=%d rows=%d %+v", dim, d.Len(), cfg)
+		want, err := IdentifyNaive(d, cfg)
+		if err != nil {
+			t.Fatalf("%s: naive: %v", name, err)
+		}
+		var ops int
+		check := func(variant string, got *Result) {
+			t.Helper()
+			sameAsOracle(t, name+" "+variant, got, want)
+			if ops == 0 {
+				ops = got.NeighborOps
+			} else if got.NeighborOps != ops {
+				t.Fatalf("%s %s: NeighborOps %d, other optimized variants %d", name, variant, got.NeighborOps, ops)
+			}
+		}
+		var cuts []LevelSnapshot
+		for _, bk := range backends {
+			for _, workers := range []int{1, 2, 4} {
+				variant := fmt.Sprintf("%s/workers=%d", bk.name, workers)
+				var snaps []LevelSnapshot
+				c := cfg
+				c.Workers = workers
+				c.OnLevel = func(_ context.Context, snap LevelSnapshot) error {
+					snaps = append(snaps, snap)
+					return nil
+				}
+				check(variant, identifyOn(t, d, bk.b, c))
+				if cuts == nil {
+					cuts = snaps
+				} else if !reflect.DeepEqual(snaps, cuts) {
+					t.Fatalf("%s %s: level checkpoints differ from dense/workers=1", name, variant)
+				}
+				c.OnLevel = nil
+				for k := range snaps {
+					c.Resume = snaps[:k+1]
+					check(fmt.Sprintf("%s/resumed after %d levels", variant, k+1), identifyOn(t, d, bk.b, c))
+				}
+			}
+		}
+	})
+}
+
+// sameAsOracle asserts an optimized Result equals the naïve oracle's
+// in every region, bit for bit, and in Explored and Pruned.
+func sameAsOracle(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if len(got.Regions) != len(want.Regions) {
+		t.Fatalf("%s: %d regions, naive %d", name, len(got.Regions), len(want.Regions))
+	}
+	for i, g := range got.Regions {
+		w := want.Regions[i]
+		if !g.Pattern.Equal(w.Pattern) || g.Counts != w.Counts || g.NeighborCounts != w.NeighborCounts ||
+			math.Float64bits(g.Ratio) != math.Float64bits(w.Ratio) ||
+			math.Float64bits(g.NeighborRatio) != math.Float64bits(w.NeighborRatio) {
+			t.Fatalf("%s: region %d: %+v, naive %+v", name, i, g, w)
+		}
+	}
+	if got.Explored != want.Explored || got.Pruned != want.Pruned {
+		t.Fatalf("%s: explored/pruned %d/%d, naive %d/%d", name, got.Explored, got.Pruned, want.Explored, want.Pruned)
+	}
+}

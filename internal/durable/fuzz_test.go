@@ -151,7 +151,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	clean := buildSnapshotBytes(&Snapshot{
 		BaseSeq: 9, Term: 2, Leader: "node-b",
 		TermStarts: []TermStart{{Term: 1, Leader: "node-a", Seq: 0}, {Term: 2, Leader: "node-b", Seq: 5}},
-		Jobs: []*JobRecord{{ID: "job-000001", State: StateDone}},
+		Jobs:       []*JobRecord{{ID: "job-000001", State: StateDone}},
 	})
 	f.Add(clean)
 	// The torn signatures: short file, cut payload, cut header.

@@ -25,14 +25,14 @@ import (
 type Point string
 
 const (
-	// IdentifyWorker fires at the start of every parallel identify
-	// worker's node scan. The argument is the node's uint32 mask. A
-	// panicking hook simulates a worker crash; the identify layer must
-	// convert it into an error.
+	// IdentifyWorker fires at the start of every node scan of the
+	// optimized identify, at every worker count. The argument is the
+	// node's uint32 mask. A panicking hook simulates a worker crash;
+	// the identify layer must convert it into an error.
 	IdentifyWorker Point = "core.identify.worker"
-	// PreloadWorker fires at the start of a hierarchy preload's one
-	// counting shard, which counts and fills the lattice in either
-	// layout. The argument is the full-lattice uint32 mask.
+	// PreloadWorker fires before a hierarchy fill of the nodes one
+	// identify level reads, or of the whole lattice for a preload. The
+	// argument is the union of the filled nodes' uint32 masks.
 	PreloadWorker Point = "core.preload.worker"
 	// CSVRecord fires once per decoded CSV record. The argument is the
 	// 1-based line number (int). A non-nil error aborts the load as a

@@ -101,7 +101,7 @@ func runOnce(t *testing.T, seed int64) (*Report, []byte, *serve.Server) {
 	return rep, b, srv
 }
 
-// TestLoadDeterministic is the load-check acceptance test: two
+// TestLoadDeterministic is the load harness's acceptance test: two
 // same-seed runs against fresh servers produce byte-identical
 // deterministic sections, no job is lost or duplicated, the observed
 // per-tenant throughput shares track the 3:1 weights within 20%, and

@@ -8,7 +8,7 @@ import (
 )
 
 // TestCounterConcurrent hammers one counter from many goroutines; run
-// under -race (make obs-check) this also proves the increment path is
+// under -race (go test -race ./internal/obs/...) this also proves the increment path is
 // synchronization-clean.
 func TestCounterConcurrent(t *testing.T) {
 	r := NewRegistry()

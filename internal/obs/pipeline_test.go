@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -66,35 +67,43 @@ func TestIdentifyInstrumented(t *testing.T) {
 	}
 }
 
-// TestParallelIdentifyShardSpans: the parallel traversal emits one
-// shard span per hierarchy node, all parented under the parallel root,
-// and matches the sequential counters.
-func TestParallelIdentifyShardSpans(t *testing.T) {
-	ctx, tr, m := obsContext(t)
+// TestParallelIdentifyLevelSpans: a Workers=4 run walks the same
+// level barriers as a sequential one, so it records the same span
+// tree (one level span per lattice level under the identify root) and
+// the same work counters.
+func TestParallelIdentifyLevelSpans(t *testing.T) {
 	d := synth.CompasN(2000, 1)
-	if _, err := core.IdentifyOptimizedCtx(ctx, d, core.Config{TauC: 0.1, T: 1, Workers: 4}); err != nil {
-		t.Fatal(err)
+	var trees [2][]string
+	var visited [2]int64
+	for i, workers := range []int{1, 4} {
+		ctx, tr, m := obsContext(t)
+		if _, err := core.IdentifyOptimizedCtx(ctx, d, core.Config{TauC: 0.1, T: 1, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		spans := tr.Snapshot()
+		names := make(map[uint64]string, len(spans))
+		for _, s := range spans {
+			names[s.ID] = s.Name
+		}
+		for _, s := range spans {
+			trees[i] = append(trees[i], names[s.Parent]+" > "+s.Name)
+		}
+		visited[i] = m.Counter("identify.nodes_visited").Value()
 	}
-	var parallelID uint64
-	shards := 0
-	for _, s := range tr.Snapshot() {
-		if s.Name == "core.identify.parallel" {
-			parallelID = s.ID
+	if !reflect.DeepEqual(trees[0], trees[1]) {
+		t.Fatalf("span trees differ:\n workers=1 %v\n workers=4 %v", trees[0], trees[1])
+	}
+	levels := 0
+	for _, edge := range trees[1] {
+		if edge == "core.identify.optimized > core.identify.level" {
+			levels++
 		}
 	}
-	for _, s := range tr.Snapshot() {
-		if s.Name == "core.identify.shard" {
-			shards++
-			if s.Parent != parallelID {
-				t.Fatalf("shard span not under parallel root: %+v", s)
-			}
-		}
+	if levels != 3 {
+		t.Fatalf("got %d level spans under the identify root, want 3: %v", levels, trees[1])
 	}
-	if shards == 0 {
-		t.Fatal("no shard spans recorded")
-	}
-	if m.Counter("identify.nodes_visited").Value() == 0 {
-		t.Fatal("parallel run must count nodes_visited")
+	if visited[0] == 0 || visited[0] != visited[1] {
+		t.Fatalf("nodes_visited = %d (workers=1) vs %d (workers=4), want equal and nonzero", visited[0], visited[1])
 	}
 }
 

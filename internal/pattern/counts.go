@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/dataset"
 )
@@ -162,16 +163,16 @@ func (l *Lattice) derive(mask uint32) {
 	l.nodes[mask] = node
 }
 
-// Fill derives every node of the sparse layout, leaf level first, so
-// that reads no longer write: concurrent readers may then share the
-// lattice. The dense layout is always filled.
-func (l *Lattice) Fill() {
+// Fill derives the sparse layout's nodes masks, in order, so that
+// reads of them no longer write: concurrent readers may then share
+// them. A node rolls up fastest from a derived node with one more
+// attribute, so pass those first. The dense layout is always filled.
+func (l *Lattice) Fill(masks []uint32) {
 	if l.cube != nil {
 		return
 	}
-	masks := l.sp.Masks()
-	for i := len(masks) - 1; i >= 0; i-- {
-		l.derive(masks[i])
+	for _, m := range masks {
+		l.derive(m)
 	}
 }
 
@@ -233,7 +234,9 @@ func (l *Lattice) Size(p Pattern) int { return total(l.Counts(p)) }
 // pattern buffer; it must Clone the pattern to retain it. Walk fills
 // the sparse layout first.
 func (l *Lattice) Walk(f func(p Pattern, counts []int32) bool) {
-	l.Fill()
+	masks := l.sp.Masks()
+	slices.Reverse(masks) // leaf level first
+	l.Fill(masks)
 	p := make(Pattern, l.sp.Dim())
 	for s := 0; s*l.k < len(l.counts); s++ {
 		c := l.counts[s*l.k : (s+1)*l.k : (s+1)*l.k]

@@ -3,6 +3,7 @@ package pattern
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -354,7 +355,9 @@ func TestCountAllMatchesBruteForce(t *testing.T) {
 	sp, d := testData(t, 300, 42)
 	for b, lat := range []*Lattice{sp.CountAll(d, d.Labels, 2), sp.CountSparse(d, d.Labels, 2), sp.CountSparse(d, d.Labels, 2)} {
 		if b == 2 {
-			lat.Fill()
+			masks := sp.Masks()
+			slices.Reverse(masks)
+			lat.Fill(masks)
 		}
 		nonEmpty := 0
 		for _, m := range sp.Masks() {

@@ -89,12 +89,12 @@ func (c *respCache) len() int {
 // cached replay would silently skip). The key covers exactly the
 // result-affecting fields — DatasetID is content-addressed, so equal
 // IDs mean equal data — and deliberately excludes IdempotencyKey,
-// TimeoutMS, and Tenant, which change delivery, not the answer.
+// TimeoutMS, Tenant and Workers, which change delivery, not the answer.
 func cacheKey(req JobRequest) (string, bool) {
 	if req.Kind == "remedy" {
 		return "", false
 	}
-	return fmt.Sprintf("%s|%s|tau=%g|t=%d|min=%d|scope=%s|w=%d|tech=%s|model=%s|stat=%s|sup=%g|seed=%d",
-		req.Kind, req.DatasetID, req.TauC, req.T, req.MinSize, req.Scope, req.Workers,
+	return fmt.Sprintf("%s|%s|tau=%g|t=%d|min=%d|scope=%s|tech=%s|model=%s|stat=%s|sup=%g|seed=%d",
+		req.Kind, req.DatasetID, req.TauC, req.T, req.MinSize, req.Scope,
 		req.Technique, req.Model, req.Stat, req.MinSupport, req.Seed), true
 }

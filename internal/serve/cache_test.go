@@ -115,6 +115,40 @@ func TestResponseCacheKeyExclusions(t *testing.T) {
 	}
 }
 
+// TestResponseCacheIgnoresWorkers: Workers changes neither the IBS
+// nor the checkpoints, so an identify at workers 2 replays the
+// workers 0 run from cache, byte for byte.
+func TestResponseCacheIgnoresWorkers(t *testing.T) {
+	ctx := context.Background()
+	srv, c := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	info := uploadCompas(t, c, 1500, 13)
+
+	req := JobRequest{Kind: "identify", DatasetID: info.ID, TauC: 0.1, MinSize: 20}
+	st1, err := c.SubmitJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1, err = c.Wait(ctx, st1.ID, 0); err != nil || st1.State != StateDone {
+		t.Fatalf("cold job: state %s err %v", st1.State, err)
+	}
+	cold := rawResult(t, c.BaseURL, st1.ID)
+
+	req.Workers = 2
+	st2, err := c.SubmitJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.State != StateDone || st2.StartedAt != nil {
+		t.Fatalf("workers=2 resubmission missed the cache: state %s started %v", st2.State, st2.StartedAt)
+	}
+	if warm := rawResult(t, c.BaseURL, st2.ID); !bytes.Equal(cold, warm) {
+		t.Fatalf("cache replay differs from cold run:\ncold: %.200s\nwarm: %.200s", cold, warm)
+	}
+	if got := srv.Metrics().Counter("serve.cache_hits").Value(); got != 1 {
+		t.Fatalf("serve.cache_hits = %d, want 1", got)
+	}
+}
+
 // TestRemedyNotCached pins the side-effect exclusion: remedy jobs
 // register their output dataset, so an identical resubmission must run
 // again (and register again), never replay from cache.

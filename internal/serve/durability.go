@@ -276,13 +276,16 @@ func (s *Server) restoreJob(ctx context.Context, rec *durable.JobRecord) (bool, 
 	// as queued, at the attempt the record bumped, until a worker takes
 	// it.
 	j.rec.State = StateQueued
+	// Once restore queues j, a running worker may commit to it: read
+	// what the log line needs first.
+	attempt, checkpoints := j.rec.Attempt, len(j.resume)
 	if err := s.engine.restore(j); err != nil {
 		release()
 		j.release = nil
 		return false, s.restoreFailed(ctx, j, rec, "re-queue failed: "+err.Error())
 	}
 	s.logger.Info("job re-queued after restart",
-		"job", j.id, "attempt", j.rec.Attempt, "checkpoints", len(j.resume))
+		"job", j.id, "attempt", attempt, "checkpoints", checkpoints)
 	return true, nil
 }
 

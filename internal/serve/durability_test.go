@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -255,16 +256,15 @@ func freezeJournalAfter(t *testing.T, trip func(durable.Record) bool) {
 // been checkpointed; a new generation on the same data dir must
 // re-queue the orphaned job, resume it from the checkpoints, and
 // produce a byte-identical IBS to an uninterrupted run — with the job
-// neither lost nor duplicated.
+// neither lost nor duplicated. Checkpoints are cut at every worker
+// count, so a request at workers 2 crashes and resumes the same way.
 func TestCrashMidIdentifyResumesFromCheckpoint(t *testing.T) {
 	ctx := context.Background()
-	req := JobRequest{Kind: "identify", DatasetID: "", TauC: 0.1, MinSize: 20}
 
 	// Baseline: the same job on an in-memory server, never interrupted.
 	_, base := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 	baseInfo := uploadCompas(t, base, 1500, 5)
-	req.DatasetID = baseInfo.ID
-	baseSt := submitAndWait(t, base, req)
+	baseSt := submitAndWait(t, base, JobRequest{Kind: "identify", DatasetID: baseInfo.ID, TauC: 0.1, MinSize: 20})
 	if baseSt.State != StateDone {
 		t.Fatalf("baseline job ended %s (%s)", baseSt.State, baseSt.Error)
 	}
@@ -273,101 +273,107 @@ func TestCrashMidIdentifyResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Generation A: crash after the second checkpoint lands.
-	dir := t.TempDir()
-	cA, stopA := newDurableServer(t, dir, Config{Workers: 1, QueueDepth: 8})
-	info := uploadCompas(t, cA, 1500, 5)
-	if info.ID != baseInfo.ID {
-		t.Fatalf("content-addressed IDs diverged: %s vs %s", info.ID, baseInfo.ID)
-	}
-	checkpoints := 0
-	freezeJournalAfter(t, func(rec durable.Record) bool {
-		if rec.Type == durable.RecCheckpoint {
-			checkpoints++
-		}
-		return checkpoints > 2 // the 3rd checkpoint append dies
-	})
-	st, err := cA.SubmitJob(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err = cA.Wait(ctx, st.ID, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In memory the job failed (its checkpoint write died); on disk the
-	// journal says running + 2 checkpoints — the crash image.
-	if st.State != StateFailed {
-		t.Fatalf("job under frozen journal ended %s, want failed", st.State)
-	}
-	stopA()
-	faults.Clear(faults.JournalAppend)
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			req := JobRequest{Kind: "identify", DatasetID: baseInfo.ID, TauC: 0.1, MinSize: 20, Workers: workers}
 
-	recs := journalRecords(t, dir)
-	var onDisk []durable.Record
-	for _, r := range recs {
-		if r.JobID == st.ID {
-			onDisk = append(onDisk, r)
-		}
-	}
-	if n := len(onDisk); n != 4 { // submit, running, cp, cp
-		t.Fatalf("crash image has %d records for the job, want 4: %+v", n, onDisk)
-	}
+			// Generation A: crash after the second checkpoint lands.
+			dir := t.TempDir()
+			cA, stopA := newDurableServer(t, dir, Config{Workers: 1, QueueDepth: 8})
+			info := uploadCompas(t, cA, 1500, 5)
+			if info.ID != baseInfo.ID {
+				t.Fatalf("content-addressed IDs diverged: %s vs %s", info.ID, baseInfo.ID)
+			}
+			checkpoints := 0
+			freezeJournalAfter(t, func(rec durable.Record) bool {
+				if rec.Type == durable.RecCheckpoint {
+					checkpoints++
+				}
+				return checkpoints > 2 // the 3rd checkpoint append dies
+			})
+			st, err := cA.SubmitJob(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err = cA.Wait(ctx, st.ID, 5*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// In memory the job failed (its checkpoint write died); on disk the
+			// journal says running + 2 checkpoints — the crash image.
+			if st.State != StateFailed {
+				t.Fatalf("job under frozen journal ended %s, want failed", st.State)
+			}
+			stopA()
+			faults.Clear(faults.JournalAppend)
 
-	// Generation B: recover and let the job run out.
-	cB, _ := newDurableServer(t, dir, Config{Workers: 1, QueueDepth: 8})
-	got, err := cB.Wait(ctx, st.ID, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != StateDone {
-		t.Fatalf("recovered job ended %s (%s), want done", got.State, got.Error)
-	}
-	if got.Attempts != 1 {
-		t.Fatalf("recovered job at attempt %d, want 1", got.Attempts)
-	}
-	var resumed IdentifyResult
-	if err := cB.Result(ctx, st.ID, &resumed); err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Fatalf("resumed IBS differs from uninterrupted run:\n resumed: %s\n want:    %s", gotJSON, wantJSON)
-	}
+			recs := journalRecords(t, dir)
+			var onDisk []durable.Record
+			for _, r := range recs {
+				if r.JobID == st.ID {
+					onDisk = append(onDisk, r)
+				}
+			}
+			if n := len(onDisk); n != 4 { // submit, running, cp, cp
+				t.Fatalf("crash image has %d records for the job, want 4: %+v", n, onDisk)
+			}
 
-	// No job lost, none duplicated, and the resumed attempt checkpointed
-	// only the levels it actually ran: the two recovered levels appear
-	// exactly once in the journal.
-	jobs, err := listJobs(cB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 1 || jobs[0].ID != st.ID {
-		t.Fatalf("job table after recovery = %+v, want exactly the one job", jobs)
-	}
-	perLevel := map[int]int{}
-	for _, r := range journalRecords(t, dir) {
-		if r.Type == durable.RecCheckpoint && r.JobID == st.ID {
-			perLevel[r.Level]++
-		}
-	}
-	// The pattern space spans the 3 protected attributes, so a full
-	// lattice identify checkpoints levels 3..1. Two landed before the
-	// crash; the resumed run cuts only the remaining one.
-	if len(perLevel) != 3 {
-		t.Fatalf("checkpointed levels = %v, want all 3", perLevel)
-	}
-	for lv, n := range perLevel {
-		if n != 1 {
-			t.Fatalf("level %d checkpointed %d times, want once (resume must skip completed levels)", lv, n)
-		}
+			// Generation B: recover and let the job run out.
+			cB, _ := newDurableServer(t, dir, Config{Workers: 1, QueueDepth: 8})
+			got, err := cB.Wait(ctx, st.ID, 5*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.State != StateDone {
+				t.Fatalf("recovered job ended %s (%s), want done", got.State, got.Error)
+			}
+			if got.Attempts != 1 {
+				t.Fatalf("recovered job at attempt %d, want 1", got.Attempts)
+			}
+			var resumed IdentifyResult
+			if err := cB.Result(ctx, st.ID, &resumed); err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, err := json.Marshal(resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantJSON, gotJSON) {
+				t.Fatalf("resumed IBS differs from uninterrupted run:\n resumed: %s\n want:    %s", gotJSON, wantJSON)
+			}
+
+			// No job lost, none duplicated, and the resumed attempt checkpointed
+			// only the levels it actually ran: the two recovered levels appear
+			// exactly once in the journal.
+			jobs, err := listJobs(cB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(jobs) != 1 || jobs[0].ID != st.ID {
+				t.Fatalf("job table after recovery = %+v, want exactly the one job", jobs)
+			}
+			perLevel := map[int]int{}
+			for _, r := range journalRecords(t, dir) {
+				if r.Type == durable.RecCheckpoint && r.JobID == st.ID {
+					perLevel[r.Level]++
+				}
+			}
+			// The pattern space spans the 3 protected attributes, so a full
+			// lattice identify checkpoints levels 3..1. Two landed before the
+			// crash; the resumed run cuts only the remaining one.
+			if len(perLevel) != 3 {
+				t.Fatalf("checkpointed levels = %v, want all 3", perLevel)
+			}
+			for lv, n := range perLevel {
+				if n != 1 {
+					t.Fatalf("level %d checkpointed %d times, want once (resume must skip completed levels)", lv, n)
+				}
+			}
+		})
 	}
 }
 
@@ -532,6 +538,40 @@ func TestRecoveryRequeuesJournaledQueuedJob(t *testing.T) {
 	}
 	if st.State != StateDone || st.Attempts != 0 {
 		t.Fatalf("recovered queued job = %+v, want done at attempt 0 (queued jobs keep their first life)", st)
+	}
+}
+
+// TestRestoreJobOnLiveEngine restores interrupted jobs into an engine
+// whose workers already run (the live-rejoin promotion path) with a
+// runner that returns at once, so a worker commits to each job while
+// restoreJob is still returning. Under -race this catches any read of
+// the job's record after the queue hand-off that is not under j.mu.
+func TestRestoreJobOnLiveEngine(t *testing.T) {
+	ctx := context.Background()
+	srv, c := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
+	info := uploadCompas(t, c, 300, 3)
+	srv.engine.run = func(context.Context, *job) (any, error) { return nil, nil }
+	reqJSON, err := json.Marshal(JobRequest{Kind: "identify", DatasetID: info.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 16; i++ {
+		rec := &durable.JobRecord{ID: fmt.Sprintf("job-%06d", 100+i), State: StateRunning, Request: reqJSON}
+		requeued, err := srv.restoreJob(ctx, rec)
+		if err != nil || !requeued {
+			t.Fatalf("restore %s: requeued %v, err %v", rec.ID, requeued, err)
+		}
+		ids = append(ids, rec.ID)
+	}
+	for _, id := range ids {
+		st, err := c.Wait(ctx, id, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone || st.Attempts != 1 {
+			t.Fatalf("restored job %s = %s at attempt %d, want done at attempt 1", id, st.State, st.Attempts)
+		}
 	}
 }
 

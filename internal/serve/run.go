@@ -178,14 +178,10 @@ func (s *Server) runJob(ctx context.Context, j *job) (any, error) {
 	if s.store != nil && (j.req.Kind == "identify" || j.req.Kind == "remedy") {
 		// Resume from the checkpoints a crashed attempt journaled (empty
 		// on a first life). New checkpoints are cut per completed lattice
-		// level — but only for sequential traversals: OnLevel forces the
-		// sequential path, and a request that asked for Workers > 1 keeps
-		// its parallelism instead of checkpointing.
+		// level, at every worker count.
 		p.identify.Resume = j.resume
-		if p.identify.Workers <= 1 {
-			p.identify.OnLevel = func(ctx context.Context, snap core.LevelSnapshot) error {
-				return s.engine.journalCheckpoint(ctx, j.id, snap)
-			}
+		p.identify.OnLevel = func(ctx context.Context, snap core.LevelSnapshot) error {
+			return s.engine.journalCheckpoint(ctx, j.id, snap)
 		}
 	}
 

@@ -91,8 +91,9 @@ type JobRequest struct {
 	T       int     `json:"t,omitempty"`
 	MinSize int     `json:"min_size,omitempty"`
 	Scope   string  `json:"scope,omitempty"`
-	// Workers > 1 runs the identification's parallel fan-out with that
-	// many goroutines (identical results, more CPU).
+	// Workers > 1 scans each lattice level of the identification on up
+	// to that many goroutines. The result and the journaled checkpoints
+	// are the same at every count, so the response cache ignores it.
 	Workers int `json:"workers,omitempty"`
 
 	// Technique is the remedy sampler: PS | US | DP | MS (default PS).

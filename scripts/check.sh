@@ -1,12 +1,19 @@
 #!/bin/sh
-# check.sh — the CI gate and its one step list: build, vet, and every
-# test under the race detector. `make check` runs this script. The
-# per-layer Makefile targets (obs-check, serve-check, durable-check,
-# cluster-check, chaos-check, obs-fleet-check, load-check) are
-# developer shortcuts into the same tests; the final race run covers
-# them all.
+# check.sh — the CI gate and its one step list: formatting, build,
+# vet, and every test under the race detector. `make check` runs this
+# script. To run one layer's slice of the race run, name its package
+# and tests, for example:
+#   go test -race -count=1 -run 'Durable|Crash|Recovery' ./internal/serve/
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt needed on:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== go build ./..."
 go build ./...
@@ -16,8 +23,8 @@ go vet ./...
 
 echo "== go test -race -count=1 ./..."
 # Every package under the race detector, uncached: the obs, serve,
-# durable, cluster, chaos, fleet-observability and load suites the
-# per-layer targets run are all part of it. So is the remedylint
+# durable, cluster, chaos, fleet-observability and load suites are all
+# part of it. So is the remedylint
 # static-analysis gate: TestSelfCheck in cmd/remedylint runs the whole
 # suite (panicgate, determinism, ctxfirst, errdiscard, obspair and the
 # call-graph-backed lockorder, heldcall and goroleak) over the module
