@@ -139,7 +139,7 @@ func run(ctx context.Context, argv []string, errw io.Writer) error {
 	// and — for -mode remedy — that the output path is actually writable,
 	// so a long remediation cannot die at the final write. The trace and
 	// metrics paths get the same upfront check.
-	scope, err := parseScope(*scopeFlag)
+	scope, err := core.ParseScope(*scopeFlag)
 	if err != nil {
 		return err
 	}
@@ -525,18 +525,6 @@ func load(input, target, protected, dsName string, seed int64) (*dataset.Dataset
 	}
 	fmt.Printf("loaded %s: %s\n", input, d)
 	return d, nil
-}
-
-func parseScope(s string) (core.Scope, error) {
-	switch strings.ToLower(s) {
-	case "lattice":
-		return core.Lattice, nil
-	case "leaf":
-		return core.Leaf, nil
-	case "top":
-		return core.Top, nil
-	}
-	return 0, fmt.Errorf("unknown scope %q", s)
 }
 
 func runIdentify(ctx context.Context, d *dataset.Dataset, cfg core.Config, tree bool) error {

@@ -19,23 +19,6 @@ import (
 	"repro/internal/synth"
 )
 
-func TestParseScope(t *testing.T) {
-	cases := map[string]core.Scope{
-		"lattice": core.Lattice,
-		"Leaf":    core.Leaf,
-		"TOP":     core.Top,
-	}
-	for in, want := range cases {
-		got, err := parseScope(in)
-		if err != nil || got != want {
-			t.Fatalf("parseScope(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseScope("sideways"); err == nil {
-		t.Fatal("unknown scope must error")
-	}
-}
-
 func TestLoadBuiltin(t *testing.T) {
 	d, err := load("", "", "", "propublica", 1)
 	if err != nil {

@@ -171,7 +171,6 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	d := randomData(t, 100, 1)
 	hook := func(context.Context, LevelSnapshot) error { return nil }
 	for _, cfg := range []Config{
-		{TauC: 0.2, T: 1, OrderedDistance: true, OnLevel: hook},
 		{TauC: 0.2, T: 1, EuclideanT: 1.5, OnLevel: hook},
 		{TauC: 0.2, T: 1, Resume: []LevelSnapshot{{Level: 1}}, EuclideanT: 1.5},
 		{TauC: 0.2, T: 1, Resume: []LevelSnapshot{{Level: 0}}},

@@ -15,6 +15,7 @@ import (
 	"math/bits"
 	"runtime/debug"
 	"sort"
+	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/faults"
@@ -50,6 +51,17 @@ func (s Scope) String() string {
 	return fmt.Sprintf("Scope(%d)", int(s))
 }
 
+// ParseScope resolves a scope from its name in any letter case, the
+// inverse of String.
+func ParseScope(s string) (Scope, error) {
+	for _, sc := range []Scope{Lattice, Leaf, Top} {
+		if strings.EqualFold(s, sc.String()) {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown scope %q (lattice, leaf, top)", s)
+}
+
 // Config carries the IBS identification parameters.
 type Config struct {
 	// TauC is the imbalance threshold τ_c of Def. 5.
@@ -64,10 +76,6 @@ type Config struct {
 	MinSize int
 	// Scope restricts the traversal; the zero value is Lattice.
 	Scope Scope
-	// OrderedDistance enables the refined per-attribute distance for
-	// ordered domains discussed under Def. 4 (only meaningful with
-	// T=1, and only supported by the naïve algorithm).
-	OrderedDistance bool
 	// Workers, when above 1, scans each level of the optimized
 	// traversal on up to that many goroutines. The Result and the
 	// OnLevel snapshots are identical at every count.
@@ -75,10 +83,13 @@ type Config struct {
 	// EuclideanT, when positive, selects the fully general Def. 4
 	// metric: the neighboring region is the Euclidean ball of this
 	// radius under the refined per-attribute distances (natural spacing
-	// for ordered attributes, unit otherwise). It overrides T and
-	// OrderedDistance, and is supported by the traversal of the naïve
-	// algorithm (IdentifyOptimized falls back automatically, as the
-	// dominating-region identity assumes unit distances).
+	// for ordered attributes, unit otherwise). EuclideanT: 1 is the
+	// ordered refinement discussed under Def. 4: a neighbor moves one
+	// ordered attribute to an adjacent value, or one unordered
+	// attribute to any other value. It overrides T, and is supported by
+	// the traversal of the naïve algorithm (IdentifyOptimized falls back
+	// automatically, as the dominating-region identity assumes unit
+	// distances).
 	EuclideanT float64
 	// OnLevel, when set, is called after each hierarchy level of the
 	// optimized traversal completes, with a snapshot of that level's
@@ -88,8 +99,8 @@ type Config struct {
 	// returned with the partial Result. It is called at the level
 	// barrier, after the level's workers are joined, at every Workers
 	// count; a level cut short by an error or cancellation is not
-	// checkpointed. Rejected alongside OrderedDistance or EuclideanT,
-	// whose naïve traversal does not checkpoint. Never marshaled
+	// checkpointed. Rejected alongside EuclideanT, whose naïve
+	// traversal does not checkpoint. Never marshaled
 	// (func); resumable state lives in the snapshots it is handed.
 	OnLevel func(ctx context.Context, snap LevelSnapshot) error `json:"-"`
 	// Resume seeds the traversal with previously checkpointed levels:
@@ -140,13 +151,10 @@ func (c Config) validate() error {
 	if c.T < 1 {
 		return fmt.Errorf("core: distance threshold T must be >= 1, got %d", c.T)
 	}
-	if c.OrderedDistance && c.T != 1 {
-		return fmt.Errorf("core: OrderedDistance requires T = 1")
-	}
 	if c.EuclideanT < 0 {
 		return fmt.Errorf("core: negative Euclidean radius %v", c.EuclideanT)
 	}
-	if (c.OnLevel != nil || len(c.Resume) > 0) && (c.OrderedDistance || c.EuclideanT > 0) {
+	if (c.OnLevel != nil || len(c.Resume) > 0) && c.EuclideanT > 0 {
 		return fmt.Errorf("core: level checkpoints require the optimized unit-distance traversal")
 	}
 	for _, snap := range c.Resume {

@@ -76,9 +76,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := IdentifyOptimized(d, Config{TauC: 0.1, T: 0}); err == nil {
 		t.Fatal("T=0 must error")
 	}
-	if _, err := IdentifyNaive(d, Config{TauC: 0.1, T: 2, OrderedDistance: true}); err == nil {
-		t.Fatal("OrderedDistance with T!=1 must error")
-	}
 }
 
 func TestScopeString(t *testing.T) {
@@ -87,6 +84,23 @@ func TestScopeString(t *testing.T) {
 	}
 	if Scope(9).String() == "" {
 		t.Fatal("unknown scope should still print")
+	}
+}
+
+func TestParseScope(t *testing.T) {
+	cases := map[string]Scope{
+		"lattice": Lattice,
+		"Leaf":    Leaf,
+		"TOP":     Top,
+	}
+	for in, want := range cases {
+		got, err := ParseScope(in)
+		if err != nil || got != want {
+			t.Fatalf("ParseScope(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParseScope("sideways"); err == nil {
+		t.Fatal("unknown scope must error")
 	}
 }
 
@@ -276,14 +290,15 @@ func TestHierarchyCachingAndInvalidate(t *testing.T) {
 func TestOrderedDistanceNarrowsNeighborhood(t *testing.T) {
 	d := biasedData(t)
 	basic := mustIdentify(t, IdentifyNaive, d, Config{TauC: 0.25, T: 1})
-	ordered := mustIdentify(t, IdentifyNaive, d, Config{TauC: 0.25, T: 1, OrderedDistance: true})
+	// EuclideanT: 1 is Def. 4's ordered refinement.
+	ordered := mustIdentify(t, IdentifyNaive, d, Config{TauC: 0.25, T: 1, EuclideanT: 1})
 	// Both find the injected region; neighbor aggregates differ in size.
 	if basic.NeighborOps <= ordered.NeighborOps {
 		t.Fatalf("ordered distance should visit fewer neighbors: %d vs %d",
 			ordered.NeighborOps, basic.NeighborOps)
 	}
 	// Optimized must silently fall back to naive for ordered distance.
-	viaOpt := mustIdentify(t, IdentifyOptimized, d, Config{TauC: 0.25, T: 1, OrderedDistance: true})
+	viaOpt := mustIdentify(t, IdentifyOptimized, d, Config{TauC: 0.25, T: 1, EuclideanT: 1})
 	assertSameRegions(t, ordered, viaOpt)
 }
 

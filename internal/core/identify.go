@@ -141,12 +141,9 @@ func (h *Hierarchy) IdentifyNaiveCtx(ctx context.Context, cfg Config) (*Result, 
 				nc.Pos += cnt.Pos
 				res.NeighborOps++
 			}
-			switch {
-			case cfg.EuclideanT > 0:
+			if cfg.EuclideanT > 0 {
 				h.Space.NeighborsEuclidean(p, cfg.EuclideanT, visit)
-			case cfg.OrderedDistance:
-				h.Space.NeighborsOrdered(p, visit)
-			default:
+			} else {
 				h.Space.Neighbors(p, cfg.T, visit)
 			}
 			res.Regions = appendIfBiased(res.Regions, p, rc, nc, cfg.TauC)
@@ -163,11 +160,14 @@ func (h *Hierarchy) IdentifyNaiveCtx(ctx context.Context, cfg Config) (*Result, 
 // IdentifyOptimized runs Algorithm 1 (§III-B): neighborhood counts are
 // derived from the d·T dominating regions T levels up, whose counts are
 // computed once per node and shared across the node's regions. It is
-// exact for T = 1 (the identity Σ_{R_d} counts − |R_d|·counts(r) equals
-// the direct neighbor sum) and for T ≥ d (where the neighboring region
-// is all siblings: dataset totals minus the region). For intermediate T
-// the paper's formula weights nearer neighbors more heavily; the paper
-// evaluates only T = 1 and T = |X|.
+// exact at every T: for T = 1 the identity Σ_{R_d} counts −
+// |R_d|·counts(r) equals the direct neighbor sum, for T ≥ d the
+// neighboring region is all siblings (dataset totals minus the
+// region), and in between the neighborhood is recovered from the
+// ancestors 1..T levels up by inverting their overlap
+// (neighborViaDominating). The paper's own formula for intermediate T
+// weighs nearer neighbors more heavily; the paper evaluates only T = 1
+// and T = |X|.
 func IdentifyOptimized(d *dataset.Dataset, cfg Config) (*Result, error) {
 	return IdentifyOptimizedCtx(context.Background(), d, cfg)
 }
@@ -197,7 +197,7 @@ func (h *Hierarchy) IdentifyOptimizedCtx(ctx context.Context, cfg Config) (*Resu
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.OrderedDistance || cfg.EuclideanT > 0 {
+	if cfg.EuclideanT > 0 {
 		// The dominating-region identity assumes the basic
 		// unit-distance setting; fall back to the naïve traversal.
 		return h.IdentifyNaiveCtx(ctx, cfg)
@@ -307,17 +307,20 @@ func (h *Hierarchy) scanLevel(ctx context.Context, masks []uint32, cfg Config, o
 }
 
 // levelReads returns the nodes a level's scan reads: the level's own
-// masks, then every node T levels up (none once T reaches the level,
-// whose neighborhoods come from the totals).
+// masks, then every node 1 to T levels up (none once T reaches the
+// level, whose neighborhoods come from the totals; at T = 1 only the
+// level above).
 func (h *Hierarchy) levelReads(masks []uint32, T int) []uint32 {
-	up := levelOf(masks[0]) - T
-	if up <= 0 {
+	lv := levelOf(masks[0])
+	if T >= lv {
 		return masks
 	}
 	reads := masks[:len(masks):len(masks)]
-	for m := uint32(1); m < uint32(1)<<uint(h.Space.Dim()); m++ {
-		if levelOf(m) == up {
-			reads = append(reads, m)
+	for up := lv - 1; up >= lv-T; up-- { // nearest first: a node rolls up fastest from one attribute more
+		for m := uint32(1); m < uint32(1)<<uint(h.Space.Dim()); m++ {
+			if levelOf(m) == up {
+				reads = append(reads, m)
+			}
 		}
 	}
 	return reads
@@ -397,11 +400,22 @@ func (h *Hierarchy) BiasedRegionsInNodeCtx(ctx context.Context, mask uint32, cfg
 // themselves.
 func (h *Hierarchy) MasksForScope(s Scope) []uint32 { return h.masksForScope(s) }
 
-// neighborViaDominating computes the neighboring-region counts of p via
-// the set R_d of dominating regions T levels up (line 9-10 of
-// Algorithm 1): remove T deterministic elements in every possible way,
-// sum the ancestors' counts, and subtract the |R_d|-fold over-count of
-// the region itself. It also returns the number of aggregations.
+// neighborViaDominating computes the neighboring-region counts of p
+// from the dominating regions above it (lines 9-10 of Algorithm 1). It
+// also returns the number of aggregations.
+//
+// At T >= d the neighborhood is every sibling: the dataset totals
+// minus p. At T = 1 the set R_d is p's d parents: sum their counts and
+// subtract the d-fold over-count of p itself (the cube reads the
+// parents by offset). In between, the paper's sum over the C(d, T)
+// ancestors T levels up weighs a row by how many of them hold it, so
+// Def. 4's neighborhood is recovered by inversion, which at T = 1 is
+// the parents' identity again. Let A_u sum the counts of the C(d, u) ancestors with u of p's fixed
+// attributes dropped (A_0 = |r|), and E_j count the rows that differ
+// from p on exactly j of them. Such a row lies in C(d−j, u−j) of the
+// ancestors, so A_u = Σ_{j≤u} C(d−j, u−j)·E_j, whence
+// E_j = Σ_{u≤j} (−1)^{j−u}·C(d−u, j−u)·A_u and the neighborhood
+// Σ_{j=1..T} E_j is Σ_{u=0..T} w_u·A_u (neighborWeight), in integers.
 func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, rc pattern.Counts, T int) (pattern.Counts, int) {
 	d := p.Level()
 	if T >= d {
@@ -426,10 +440,39 @@ func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, rc pattern.Counts, 
 				add(cube.LabelCounts(idx - int(v+1)*cube.Stride(i)))
 			}
 		}
-	} else {
-		h.ancestorsTLevelsUp(p, T, func(q pattern.Pattern) { add(h.count(q)) })
+		return pattern.Counts{N: sum.N - size*rc.N, Pos: sum.Pos - size*rc.Pos}, size
 	}
-	return pattern.Counts{N: sum.N - size*rc.N, Pos: sum.Pos - size*rc.Pos}, size
+	w := neighborWeight(d, T, 0)
+	nc := pattern.Counts{N: w * rc.N, Pos: w * rc.Pos}
+	for u := 1; u <= T; u++ {
+		sum = pattern.Counts{}
+		h.ancestorsTLevelsUp(p, u, func(q pattern.Pattern) { add(h.count(q)) })
+		w = neighborWeight(d, T, u)
+		nc.N += w * sum.N
+		nc.Pos += w * sum.Pos
+	}
+	return nc, size
+}
+
+// neighborWeight is the weight w_u of A_u in a level-d region's
+// neighborhood at threshold T: Σ_{j=max(u,1)..T} (−1)^{j−u}·C(d−u, j−u).
+func neighborWeight(d, T, u int) int {
+	w := 0
+	c := 1 // C(d−u, j−u), starting from j = u
+	for j := u; j <= T; j++ {
+		if j > u {
+			c = c * (d - j + 1) / (j - u)
+		}
+		if j == 0 {
+			continue
+		}
+		if (j-u)%2 == 0 {
+			w += c
+		} else {
+			w -= c
+		}
+	}
+	return w
 }
 
 // ancestorsTLevelsUp calls f for each pattern obtained from p by

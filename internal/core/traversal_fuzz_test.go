@@ -21,10 +21,10 @@ import (
 // checkpoint. NeighborOps is the optimized algorithm's own cost, so it
 // must agree across those variants only.
 //
-// T is 1 or at least |X|. For 1 < T < |X| the dominating-region
-// formula over-weights near neighbors and does not match Def. 4 (the
-// exact-neighborhood item of ROADMAP.md), so those T are left out
-// until that is fixed.
+// T is any of 1..|X|+1. Half the inputs draw T = 1 and a quarter
+// draw T = |X| or |X|+1, the settings the paper evaluates; the last
+// quarter draws T uniformly from 1..|X|+1, so 1 < T < |X| reaches the
+// triangular inversion in neighborViaDominating.
 func FuzzIdentifyTraversal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 2, 0, 1, 0, 0, 1, 60, 40, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -34,8 +34,11 @@ func FuzzIdentifyTraversal(f *testing.F) {
 		s := in.schema()
 		dim := len(s.Attrs)
 		cfg := Config{TauC: float64(in.next()%8) / 4, MinSize: 1 + in.next()%8, Scope: Scope(in.next() % 3), T: 1}
-		if in.next()%2 == 1 {
+		switch in.next() % 4 {
+		case 1:
 			cfg.T = dim + in.next()%2
+		case 3:
+			cfg.T = 1 + in.next()%(dim+1)
 		}
 		bias := 1 + in.next()%3 // a label is positive with chance bias/4
 		d := dataset.New(s)
@@ -106,5 +109,48 @@ func sameAsOracle(t *testing.T, name string, got, want *Result) {
 	}
 	if got.Explored != want.Explored || got.Pruned != want.Pruned {
 		t.Fatalf("%s: explored/pruned %d/%d, naive %d/%d", name, got.Explored, got.Pruned, want.Explored, want.Pruned)
+	}
+}
+
+// TestOptimizedExactAtIntermediateT pins a 1 < T < |X| case on the
+// 3×3×3 test space at T = 2. Every cell holds 20 rows; a cell at
+// Hamming distance h from the centre (25-45, 1-3, Afr-Am) holds 10, 16,
+// 4 or 10 positives for h = 0, 1, 2, 3. The centre's Def. 4
+// neighborhood is its 6 cells at distance 1 and 12 at distance 2:
+// 144 positives to 216 negatives, a ratio of 2/3 against the centre's
+// 1, so the centre is biased at τ_c = 0.3. Summing the centre's three
+// grandparents counts each distance-1 row twice and reads a ratio of
+// 1, which misses it.
+func TestOptimizedExactAtIntermediateT(t *testing.T) {
+	d := dataset.New(testSchema())
+	positives := []int{10, 16, 4, 10}
+	for c := 0; c < 27; c++ {
+		row := []int32{int32(c % 3), int32(c / 3 % 3), int32(c / 9)}
+		h := 0
+		for _, v := range row {
+			if v != 1 {
+				h++
+			}
+		}
+		for i := 0; i < 20; i++ {
+			var label int8
+			if i < positives[h] {
+				label = 1
+			}
+			d.Append(row, label)
+		}
+	}
+	cfg := Config{TauC: 0.3, T: 2, MinSize: 5}
+	want := mustIdentify(t, IdentifyNaive, d, cfg)
+	centre, _ := want.Space.Parse("age", "25-45", "priors", "1-3", "race", "Afr-Am")
+	if !want.Contains(centre) {
+		t.Fatal("naive identification missed the centre region")
+	}
+	for _, bk := range backends {
+		for _, workers := range []int{1, 2} {
+			c := cfg
+			c.Workers = workers
+			sameAsOracle(t, fmt.Sprintf("%s/workers=%d", bk.name, workers), identifyOn(t, d, bk.b, c), want)
+		}
 	}
 }

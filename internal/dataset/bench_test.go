@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
@@ -36,26 +35,4 @@ func BenchmarkReadCSV(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkBucketize times bucketizing one Adult-size column of raw
-// ages, 17 to 90, into the synthetic Adult's five age buckets.
-func BenchmarkBucketize(b *testing.B) {
-	r := stats.NewRNG(1)
-	ages := make([]float64, synth.AdultSize)
-	for i := range ages {
-		ages[i] = float64(17 + r.Intn(74))
-	}
-	cuts := []float64{24, 34, 44, 54}
-	codes := make([]int32, len(ages))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, v := range ages {
-			codes[j] = dataset.Bucketize(v, cuts)
-		}
-	}
-	if codes[0] < 0 || int(codes[0]) > len(cuts) {
-		b.Fatalf("bucket %d out of range", codes[0])
-	}
 }

@@ -5,14 +5,13 @@
 //
 // The paper works exclusively with categorical (or bucketized)
 // attributes, so every attribute value is stored as a small integer code
-// into the attribute's domain. Continuous source columns are bucketized
-// at load time (see Bucketize / csv.go).
+// into the attribute's domain. Continuous source columns must arrive
+// bucketized: ReadCSV (csv.go) treats each distinct value as a category.
 package dataset
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -288,15 +287,4 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Bucketize maps a float to a bucket code given ascending cut points:
-// value <= cuts[0] is bucket 0, (cuts[0], cuts[1]] is bucket 1, …, and
-// anything above the last cut is bucket len(cuts).
-func Bucketize(v float64, cuts []float64) int32 {
-	i := sort.SearchFloat64s(cuts, v)
-	// SearchFloat64s finds the first cut >= v, which is exactly the
-	// bucket index for half-open (lo, hi] buckets except at equality,
-	// where v == cuts[i] must still land in bucket i.
-	return int32(i)
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/stats"
 )
@@ -170,21 +169,6 @@ func TestMatch(t *testing.T) {
 	}
 }
 
-func TestSplitPartitions(t *testing.T) {
-	d := testData(t, 200, 11)
-	train, test := d.Split(0.7, 1)
-	if train.Len() != 140 || test.Len() != 60 {
-		t.Fatalf("split sizes %d/%d", train.Len(), test.Len())
-	}
-	// Same seed, same split.
-	tr2, _ := d.Split(0.7, 1)
-	for i := range train.Rows {
-		if train.Labels[i] != tr2.Labels[i] {
-			t.Fatal("split is not deterministic")
-		}
-	}
-}
-
 func TestStratifiedSplitPreservesBaseRate(t *testing.T) {
 	d := New(testSchema())
 	r := stats.NewRNG(5)
@@ -207,28 +191,6 @@ func TestStratifiedSplitPreservesBaseRate(t *testing.T) {
 	}
 }
 
-func TestKFoldCoversAll(t *testing.T) {
-	d := testData(t, 103, 13)
-	folds := d.KFold(5, 3)
-	if len(folds) != 5 {
-		t.Fatalf("folds = %d", len(folds))
-	}
-	seen := make([]int, d.Len())
-	for _, f := range folds {
-		if len(f[0])+len(f[1]) != d.Len() {
-			t.Fatalf("fold sizes %d + %d", len(f[0]), len(f[1]))
-		}
-		for _, i := range f[1] {
-			seen[i]++
-		}
-	}
-	for i, n := range seen {
-		if n != 1 {
-			t.Fatalf("index %d appears in %d test folds", i, n)
-		}
-	}
-}
-
 func TestSampleFraction(t *testing.T) {
 	d := testData(t, 100, 17)
 	s := d.SampleFraction(0.25, 4)
@@ -238,14 +200,6 @@ func TestSampleFraction(t *testing.T) {
 	full := d.SampleFraction(1.5, 4)
 	if full.Len() != 100 {
 		t.Fatalf("full len = %d", full.Len())
-	}
-}
-
-func TestBootstrap(t *testing.T) {
-	d := testData(t, 40, 19)
-	b := d.Bootstrap(stats.NewRNG(8), 40)
-	if b.Len() != 40 {
-		t.Fatalf("bootstrap len = %d", b.Len())
 	}
 }
 
@@ -286,32 +240,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(bytes.NewBufferString("a,label\nx,5\n"), "label", nil); err == nil {
 		t.Fatal("expected non-binary label error")
-	}
-}
-
-func TestBucketize(t *testing.T) {
-	cuts := []float64{25, 45}
-	cases := []struct {
-		v    float64
-		want int32
-	}{{18, 0}, {25, 0}, {26, 1}, {45, 1}, {46, 2}, {99, 2}}
-	for _, c := range cases {
-		if got := Bucketize(c.v, cuts); got != c.want {
-			t.Fatalf("Bucketize(%v) = %d, want %d", c.v, got, c.want)
-		}
-	}
-}
-
-func TestBucketizeMonotone(t *testing.T) {
-	cuts := []float64{-1, 0, 2.5, 10}
-	f := func(a, b float64) bool {
-		if a > b {
-			a, b = b, a
-		}
-		return Bucketize(a, cuts) <= Bucketize(b, cuts)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -60,24 +60,3 @@ func FuzzReadCSV(f *testing.F) {
 		}
 	})
 }
-
-// FuzzBucketize asserts bucket indices stay in range for any input.
-func FuzzBucketize(f *testing.F) {
-	f.Add(3.7, 1.0, 2.0, 5.0)
-	f.Add(-1e300, 0.0, 0.0, 0.0)
-	f.Fuzz(func(t *testing.T, v, c1, c2, c3 float64) {
-		cuts := []float64{c1, c2, c3}
-		// Bucketize requires sorted cuts; sort defensively as callers do.
-		for i := 0; i < len(cuts); i++ {
-			for j := i + 1; j < len(cuts); j++ {
-				if cuts[j] < cuts[i] {
-					cuts[i], cuts[j] = cuts[j], cuts[i]
-				}
-			}
-		}
-		b := Bucketize(v, cuts)
-		if b < 0 || int(b) > len(cuts) {
-			t.Fatalf("bucket %d out of range", b)
-		}
-	})
-}

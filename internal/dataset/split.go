@@ -1,35 +1,13 @@
 package dataset
 
-import (
-	"math/rand" //lint:allow determinism consumes injected *rand.Rand; construction only via stats.NewRNG
+import "repro/internal/stats"
 
-	"repro/internal/stats"
-)
-
-// Split randomly partitions the dataset into a training set with the
-// given fraction of instances and a test set with the remainder, as in
-// the paper's 70/30 protocol. The split is deterministic for a given
+// StratifiedSplit randomly partitions the dataset into a training set
+// with the given fraction of instances and a test set with the
+// remainder, as in the paper's 70/30 protocol. It preserves the label
+// base rate in both partitions, which keeps small datasets' test
+// metrics stable across seeds. The split is deterministic for a given
 // seed.
-func (d *Dataset) Split(trainFrac float64, seed int64) (train, test *Dataset) {
-	r := stats.NewRNG(seed)
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	stats.Shuffle(r, idx)
-	cut := int(float64(d.Len()) * trainFrac)
-	if cut < 0 {
-		cut = 0
-	}
-	if cut > d.Len() {
-		cut = d.Len()
-	}
-	return d.Subset(idx[:cut]), d.Subset(idx[cut:])
-}
-
-// StratifiedSplit partitions like Split but preserves the label base
-// rate in both partitions, which keeps small datasets' test metrics
-// stable across seeds.
 func (d *Dataset) StratifiedSplit(trainFrac float64, seed int64) (train, test *Dataset) {
 	r := stats.NewRNG(seed)
 	var pos, neg []int
@@ -51,32 +29,6 @@ func (d *Dataset) StratifiedSplit(trainFrac float64, seed int64) (train, test *D
 	return d.Subset(trainIdx), d.Subset(testIdx)
 }
 
-// KFold returns k (train, test) index pairs for cross-validation. Folds
-// are contiguous slices of a seeded shuffle, so they are disjoint and
-// cover every instance exactly once.
-func (d *Dataset) KFold(k int, seed int64) [][2][]int {
-	if k < 2 {
-		k = 2
-	}
-	r := stats.NewRNG(seed)
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	stats.Shuffle(r, idx)
-	folds := make([][2][]int, 0, k)
-	for f := 0; f < k; f++ {
-		lo := f * d.Len() / k
-		hi := (f + 1) * d.Len() / k
-		test := append([]int(nil), idx[lo:hi]...)
-		train := make([]int, 0, d.Len()-(hi-lo))
-		train = append(train, idx[:lo]...)
-		train = append(train, idx[hi:]...)
-		folds = append(folds, [2][]int{train, test})
-	}
-	return folds
-}
-
 // SampleFraction returns a uniform random sample of about frac of the
 // dataset, used by the scalability experiments to vary data size.
 func (d *Dataset) SampleFraction(frac float64, seed int64) *Dataset {
@@ -86,12 +38,6 @@ func (d *Dataset) SampleFraction(frac float64, seed int64) *Dataset {
 	r := stats.NewRNG(seed)
 	k := int(float64(d.Len()) * frac)
 	return d.Subset(stats.SampleWithoutReplacement(r, d.Len(), k))
-}
-
-// Bootstrap returns a bootstrap resample of size n drawn with the given
-// RNG (used by the random forest).
-func (d *Dataset) Bootstrap(r *rand.Rand, n int) *Dataset {
-	return d.Subset(stats.SampleWithReplacement(r, d.Len(), n))
 }
 
 func allIndices(n int) []int {

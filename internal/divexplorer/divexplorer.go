@@ -203,6 +203,18 @@ func ExploreCtx(ctx context.Context, d *dataset.Dataset, preds []int, stat fairn
 	return rep, nil
 }
 
+// TopK returns the k most divergent subgroups (fewer if the report is
+// smaller), preserving the ranking.
+func (r *Report) TopK(k int) []Subgroup {
+	if k > len(r.Subgroups) {
+		k = len(r.Subgroups)
+	}
+	if k < 0 {
+		k = 0
+	}
+	return r.Subgroups[:k]
+}
+
 // Unfair returns the subgroups violating Def. 1 at threshold τ_d,
 // preserving the divergence ranking.
 func (r *Report) Unfair(tauD float64) []Subgroup {

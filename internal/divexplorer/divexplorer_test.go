@@ -407,3 +407,24 @@ func BenchmarkExplore(b *testing.B) {
 		}
 	})
 }
+
+func TestTopK(t *testing.T) {
+	d, preds := unfairPredictions(t)
+	rep, err := Explore(d, preds, fairness.FPR, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := rep.TopK(3)
+	if len(top) != 3 {
+		t.Fatalf("TopK(3) = %d", len(top))
+	}
+	if top[0].Divergence < top[2].Divergence {
+		t.Fatal("TopK not ranked")
+	}
+	if got := rep.TopK(1000); len(got) != len(rep.Subgroups) {
+		t.Fatal("oversized k must clamp")
+	}
+	if got := rep.TopK(-1); len(got) != 0 {
+		t.Fatal("negative k must clamp to zero")
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/fairness"
-	"repro/internal/ml"
 	"repro/internal/pattern"
 )
 
@@ -93,21 +92,4 @@ func (r *Report) ShapleyAttribution(d *dataset.Dataset, preds []int, g Subgroup)
 		out[bit] = ItemContribution{Slot: s, Item: item, Phi: phi}
 	}
 	return out, nil
-}
-
-// AttributeWorst audits a model on d and returns the Shapley
-// attribution of its most divergent subgroup — the one-call form used
-// by the examples.
-func AttributeWorst(d *dataset.Dataset, m *ml.Model, stat fairness.Statistic) (Subgroup, []ItemContribution, error) {
-	preds := m.Predict(d)
-	rep, err := Explore(d, preds, stat, Options{})
-	if err != nil {
-		return Subgroup{}, nil, err
-	}
-	if len(rep.Subgroups) == 0 {
-		return Subgroup{}, nil, fmt.Errorf("divexplorer: nothing mined")
-	}
-	worst := rep.Subgroups[0]
-	contrib, err := rep.ShapleyAttribution(d, preds, worst)
-	return worst, contrib, err
 }

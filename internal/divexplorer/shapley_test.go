@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/fairness"
-	"repro/internal/ml"
-	"repro/internal/synth"
 )
 
 func TestShapleyEfficiency(t *testing.T) {
@@ -95,28 +93,5 @@ func TestShapleyErrors(t *testing.T) {
 	}
 	if _, err := rep.ShapleyAttribution(d, preds, empty); err == nil {
 		t.Fatal("whole-dataset pattern must error")
-	}
-}
-
-func TestAttributeWorst(t *testing.T) {
-	d := synth.CompasN(3000, 31)
-	train, test := d.StratifiedSplit(0.7, 1)
-	m, err := ml.TrainKind(train, ml.DT, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst, contribs, err := AttributeWorst(test, m, fairness.FPR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst.Divergence <= 0 || len(contribs) == 0 {
-		t.Fatalf("worst %+v contribs %v", worst, contribs)
-	}
-	var sum float64
-	for _, c := range contribs {
-		sum += c.Phi
-	}
-	if math.Abs(sum-worst.Divergence) > 1e-9 {
-		t.Fatalf("efficiency broken on real pipeline: %v vs %v", sum, worst.Divergence)
 	}
 }

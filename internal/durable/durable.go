@@ -94,9 +94,6 @@ func Open(ctx context.Context, dir string, syncEach bool) (*Store, error) {
 	return &Store{dir: dir, journal: j}, nil
 }
 
-// Dir returns the data directory root.
-func (s *Store) Dir() string { return s.dir }
-
 // Journal returns the store's job journal.
 func (s *Store) Journal() *Journal { return s.journal }
 

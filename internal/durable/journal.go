@@ -114,11 +114,10 @@ var ErrCompacted = errors.New("durable: sequence below compaction horizon")
 //
 // For replication the journal doubles as a positional log: every
 // intact record has a sequence number equal to its zero-based index in
-// the file. InitSequence seeds the counter from a recovery replay,
-// Sequence reports the current length, and a sink installed with
-// SetSink observes every successful append — the hook the cluster
-// layer uses to learn that new records are ready to stream to
-// followers.
+// the file. InitSequence seeds the counter from a recovery replay and
+// Sequence reports the current length; the cluster layer's replication
+// tick compares it with each follower's acknowledged position and
+// reads the missing records back with ReadJournalRange.
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
@@ -131,7 +130,6 @@ type Journal struct {
 	// journal). seq stays absolute; the file holds records [base, seq).
 	base uint64
 	seq  uint64
-	sink func(seq uint64, rec Record)
 }
 
 // OpenJournal opens (creating if absent) the journal at path for
@@ -247,16 +245,6 @@ func (j *Journal) Unfence() {
 	j.fenced = false
 }
 
-// SetSink installs fn to observe every successful append with the
-// record's sequence number. fn runs under the journal's append lock —
-// it must be fast and must never call back into the journal. A nil fn
-// removes the sink.
-func (j *Journal) SetSink(fn func(seq uint64, rec Record)) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.sink = fn
-}
-
 // Append frames, checksums, and writes one record. The context is
 // used for fault injection and observability only — an append is
 // never skipped because ctx is cancelled, since the callers journal
@@ -316,11 +304,7 @@ func (j *Journal) append(ctx context.Context, rec Record, originated bool) error
 			return fmt.Errorf("durable: journal sync: %w", err)
 		}
 	}
-	seq := j.seq
 	j.seq++
-	if j.sink != nil {
-		j.sink(seq, rec)
-	}
 	m := obs.MetricsFrom(ctx)
 	m.Counter("durable.journal_appends").Inc()
 	m.Counter("durable.journal_bytes").Add(int64(len(frame)))

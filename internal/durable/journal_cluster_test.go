@@ -8,10 +8,10 @@ import (
 )
 
 // The tests in this file cover the journal's replicated-log surface:
-// positional sequence numbers, the append sink, suffix truncation, and
+// positional sequence numbers, suffix truncation, and
 // bounded range reads — the primitives internal/cluster builds on.
 
-func TestJournalSequenceAndSink(t *testing.T) {
+func TestJournalSequence(t *testing.T) {
 	path := testJournalPath(t)
 	ctx := context.Background()
 	j, err := OpenJournal(ctx, path, false)
@@ -20,38 +20,15 @@ func TestJournalSequenceAndSink(t *testing.T) {
 	}
 	defer j.Close()
 
-	var seqs []uint64
-	var types []RecordType
-	j.SetSink(func(seq uint64, rec Record) {
-		seqs = append(seqs, seq)
-		types = append(types, rec.Type)
-	})
-
 	recs := sampleRecords()
-	appendAll(t, j, recs)
+	for i, rec := range recs {
+		if got := j.Sequence(); got != uint64(i) {
+			t.Fatalf("Sequence before append %d = %d, want %d", i, got, i)
+		}
+		appendAll(t, j, []Record{rec})
+	}
 	if got := j.Sequence(); got != uint64(len(recs)) {
 		t.Fatalf("Sequence = %d, want %d", got, len(recs))
-	}
-	if len(seqs) != len(recs) {
-		t.Fatalf("sink fired %d times, want %d", len(seqs), len(recs))
-	}
-	for i, s := range seqs {
-		if s != uint64(i) {
-			t.Errorf("sink seq[%d] = %d, want %d", i, s, i)
-		}
-		if types[i] != recs[i].Type {
-			t.Errorf("sink rec[%d].Type = %q, want %q", i, types[i], recs[i].Type)
-		}
-	}
-
-	// Removing the sink stops deliveries but not sequencing.
-	j.SetSink(nil)
-	appendAll(t, j, recs[:1])
-	if len(seqs) != len(recs) {
-		t.Fatalf("sink fired after removal: %d calls", len(seqs))
-	}
-	if got := j.Sequence(); got != uint64(len(recs))+1 {
-		t.Fatalf("Sequence after removal = %d, want %d", got, len(recs)+1)
 	}
 }
 
@@ -75,11 +52,9 @@ func TestJournalInitSequenceContinuesNumbering(t *testing.T) {
 	_, info := replayAll(t, path)
 	j2.InitSequence(uint64(info.Records))
 
-	var got uint64
-	j2.SetSink(func(seq uint64, _ Record) { got = seq })
 	appendAll(t, j2, sampleRecords()[:1])
-	if got != uint64(info.Records) {
-		t.Fatalf("post-recovery append got seq %d, want %d", got, info.Records)
+	if got := j2.Sequence(); got != uint64(info.Records)+1 {
+		t.Fatalf("Sequence after post-recovery append = %d, want %d", got, info.Records+1)
 	}
 }
 

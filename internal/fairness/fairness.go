@@ -94,11 +94,6 @@ func (s Statistic) BaseCount(c ml.Confusion) (n, successes int) {
 // a subgroup and the entire dataset.
 func Divergence(gammaG, gammaD float64) float64 { return math.Abs(gammaG - gammaD) }
 
-// IsFair applies Def. 1: g is τ_d-fair under γ when Δγ_g ≤ τ_d.
-func IsFair(gammaG, gammaD, tauD float64) bool {
-	return Divergence(gammaG, gammaD) <= tauD
-}
-
 // GroupOutcome is the per-subgroup evidence the aggregate metrics
 // consume: the subgroup's support, its divergence, its significance
 // under the t-test, and the size of the statistic's conditioning

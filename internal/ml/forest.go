@@ -114,25 +114,3 @@ func (f *RandomForest) PredictProba(x []float64) float64 {
 
 // Predict thresholds PredictProba at 0.5.
 func (f *RandomForest) Predict(x []float64) int { return threshold(f.PredictProba(x)) }
-
-// FeatureImportance averages the member trees' normalized Gini
-// importances (nil before training).
-func (f *RandomForest) FeatureImportance() []float64 {
-	if len(f.trees) == 0 {
-		return nil
-	}
-	var out []float64
-	for _, t := range f.trees {
-		imp := t.FeatureImportance()
-		if out == nil {
-			out = make([]float64, len(imp))
-		}
-		for i, v := range imp {
-			out[i] += v
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(f.trees))
-	}
-	return out
-}

@@ -1,7 +1,5 @@
 package ml
 
-import "math"
-
 // Confusion is a binary confusion matrix over (possibly weighted)
 // instances.
 type Confusion struct {
@@ -61,9 +59,6 @@ func (c Confusion) FNR() float64 {
 	return c.FN / pos
 }
 
-// TPR is the true-positive rate (recall).
-func (c Confusion) TPR() float64 { return 1 - c.FNR() }
-
 // PositiveRate is Pr[h(x)=1], the statistic behind statistical parity.
 func (c Confusion) PositiveRate() float64 {
 	total := c.TP + c.FP + c.TN + c.FN
@@ -75,43 +70,3 @@ func (c Confusion) PositiveRate() float64 {
 
 // ErrorRate is Pr[h(x) != y].
 func (c Confusion) ErrorRate() float64 { return 1 - c.Accuracy() }
-
-// Brier returns the Brier score (mean squared error of the predicted
-// probabilities), a proper scoring rule for probability quality. Lower
-// is better; 0.25 is the score of a constant 0.5 prediction.
-func Brier(probs []float64, labels []int8) float64 {
-	if len(probs) == 0 {
-		return 0
-	}
-	var s float64
-	for i, p := range probs {
-		d := p - float64(labels[i])
-		s += d * d
-	}
-	return s / float64(len(probs))
-}
-
-// LogLoss returns the mean negative log-likelihood of the predicted
-// probabilities, clamped away from 0/1 to keep the loss finite for
-// overconfident wrong predictions.
-func LogLoss(probs []float64, labels []int8) float64 {
-	if len(probs) == 0 {
-		return 0
-	}
-	const eps = 1e-12
-	var s float64
-	for i, p := range probs {
-		if p < eps {
-			p = eps
-		}
-		if p > 1-eps {
-			p = 1 - eps
-		}
-		if labels[i] == 1 {
-			s += -math.Log(p)
-		} else {
-			s += -math.Log(1 - p)
-		}
-	}
-	return s / float64(len(probs))
-}

@@ -2,9 +2,9 @@
 // against — decision tree (DT), random forest (RF), logistic regression
 // (LG), and a feed-forward neural network (NN) — plus the categorical
 // Naïve Bayes ranker used by preferential sampling and data massaging,
-// confusion-matrix metrics, and k-fold grid search. Everything is built
-// from scratch on the standard library and supports per-instance sample
-// weights, which the reweighting baselines require.
+// and confusion-matrix metrics. Everything is built from scratch on the
+// standard library and supports per-instance sample weights, which the
+// reweighting baselines require.
 //
 // Training touches only the data it needs. The encoded rows are mostly
 // zeros (at most 13 of an Adult row's 37 columns are set), so logistic
@@ -32,6 +32,7 @@ package ml
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -56,6 +57,40 @@ type Classifier interface {
 // built-in classifiers implement it.
 type ContextFitter interface {
 	FitCtx(ctx context.Context, x [][]float64, y []float64, w []float64) error
+}
+
+// ModelKind names the four downstream classifiers of the evaluation.
+type ModelKind string
+
+const (
+	DT ModelKind = "DT" // decision tree
+	RF ModelKind = "RF" // random forest
+	LG ModelKind = "LG" // logistic regression
+	NN ModelKind = "NN" // neural network
+)
+
+// AllModels lists the classifiers in the paper's order.
+var AllModels = []ModelKind{DT, RF, LG, NN}
+
+// ErrUnknownModel is returned for a ModelKind outside AllModels.
+var ErrUnknownModel = errors.New("ml: unknown model kind")
+
+// NewClassifier constructs a classifier of the given kind with fixed
+// hyperparameters: constants that no experiment tunes (the paper
+// grid-searches its models; DESIGN.md §3.2 records the deviation). An
+// unrecognized kind returns ErrUnknownModel.
+func NewClassifier(kind ModelKind, seed int64) (Classifier, error) {
+	switch kind {
+	case DT:
+		return NewDecisionTree(TreeParams{MaxDepth: 10, MinLeafWeight: 5, Seed: seed}), nil
+	case RF:
+		return NewRandomForest(ForestParams{Trees: 30, MaxDepth: 10, Seed: seed}), nil
+	case LG:
+		return NewLogisticRegression(LogRegParams{Epochs: 150, LearningRate: 0.8, L2: 1e-4, Seed: seed}), nil
+	case NN:
+		return NewNeuralNetwork(NNParams{Hidden: 16, Epochs: 8, LearningRate: 0.1, Seed: seed}), nil
+	}
+	return nil, fmt.Errorf("%w %q", ErrUnknownModel, kind)
 }
 
 // threshold converts a probability into a hard 0/1 prediction.

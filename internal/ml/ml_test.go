@@ -368,9 +368,6 @@ func TestConfusionMetrics(t *testing.T) {
 	if got := c.FNR(); got != 0.4 {
 		t.Fatalf("FNR = %v", got)
 	}
-	if got := c.TPR(); got != 0.6 {
-		t.Fatalf("TPR = %v", got)
-	}
 	if got := c.PositiveRate(); got != 0.4 {
 		t.Fatalf("PositiveRate = %v", got)
 	}
@@ -443,69 +440,6 @@ func TestNewClassifierKinds(t *testing.T) {
 	}
 }
 
-func TestGridSearch(t *testing.T) {
-	s := &dataset.Schema{
-		Target: "y",
-		Attrs: []dataset.Attr{
-			{Name: "a", Values: []string{"0", "1"}},
-			{Name: "b", Values: []string{"0", "1"}},
-		},
-	}
-	d := dataset.New(s)
-	r := stats.NewRNG(13)
-	for i := 0; i < 400; i++ {
-		a, b := int32(r.Intn(2)), int32(r.Intn(2))
-		label := int8(0)
-		if a != b {
-			label = 1
-		}
-		d.Append([]int32{a, b}, label)
-	}
-	// A depth-1 stump cannot learn XOR; a depth-3 tree can. Grid search
-	// must rank the deeper tree first.
-	points := []GridPoint{
-		{Name: "stump", Build: func(seed int64) Classifier {
-			return NewDecisionTree(TreeParams{MaxDepth: 1, Seed: seed})
-		}},
-		{Name: "deep", Build: func(seed int64) Classifier {
-			return NewDecisionTree(TreeParams{MaxDepth: 3, Seed: seed})
-		}},
-	}
-	res, err := GridSearch(d, points, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Point.Name != "deep" {
-		t.Fatalf("grid search ranked %q first", res[0].Point.Name)
-	}
-	if res[0].Accuracy < 0.95 || res[1].Accuracy > 0.8 {
-		t.Fatalf("accuracies: %v / %v", res[0].Accuracy, res[1].Accuracy)
-	}
-	if _, err := GridSearch(d, nil, 3, 1); err == nil {
-		t.Fatal("empty grid must error")
-	}
-}
-
-func TestDefaultGrids(t *testing.T) {
-	for _, k := range AllModels {
-		grid, err := DefaultGrid(k)
-		if err != nil {
-			t.Fatalf("%s: %v", k, err)
-		}
-		if len(grid) < 2 {
-			t.Fatalf("grid for %s too small", k)
-		}
-		for _, pt := range grid {
-			if pt.Build == nil || pt.Name == "" {
-				t.Fatalf("bad grid point for %s", k)
-			}
-		}
-	}
-	if _, err := DefaultGrid(ModelKind("nope")); !errors.Is(err, ErrUnknownModel) {
-		t.Fatalf("unknown grid = %v, want ErrUnknownModel", err)
-	}
-}
-
 func TestWeightedSamplerDistribution(t *testing.T) {
 	w := []float64{1, 0, 3}
 	s := stats.NewWeightedSampler(w)
@@ -520,38 +454,6 @@ func TestWeightedSamplerDistribution(t *testing.T) {
 	ratio := float64(counts[2]) / float64(counts[0])
 	if ratio < 2.5 || ratio > 3.6 {
 		t.Fatalf("draw ratio %v, want ~3", ratio)
-	}
-}
-
-func TestBrierAndLogLoss(t *testing.T) {
-	labels := []int8{1, 0, 1, 0}
-	perfect := []float64{1, 0, 1, 0}
-	if got := Brier(perfect, labels); got != 0 {
-		t.Fatalf("perfect Brier = %v", got)
-	}
-	uninformative := []float64{0.5, 0.5, 0.5, 0.5}
-	if got := Brier(uninformative, labels); got != 0.25 {
-		t.Fatalf("coin-flip Brier = %v", got)
-	}
-	// Log loss of the constant 0.5 prediction is ln 2.
-	if got := LogLoss(uninformative, labels); math.Abs(got-math.Ln2) > 1e-12 {
-		t.Fatalf("coin-flip LogLoss = %v", got)
-	}
-	// Overconfident wrong predictions stay finite.
-	wrong := []float64{0, 1, 0, 1}
-	if got := LogLoss(wrong, labels); math.IsInf(got, 0) || got < 20 {
-		t.Fatalf("confident-wrong LogLoss = %v", got)
-	}
-	if Brier(nil, nil) != 0 || LogLoss(nil, nil) != 0 {
-		t.Fatal("empty inputs must return 0")
-	}
-	// Better-calibrated probabilities score lower on both.
-	good := []float64{0.9, 0.1, 0.8, 0.2}
-	if Brier(good, labels) >= Brier(uninformative, labels) {
-		t.Fatal("calibrated Brier should beat coin flip")
-	}
-	if LogLoss(good, labels) >= LogLoss(uninformative, labels) {
-		t.Fatal("calibrated LogLoss should beat coin flip")
 	}
 }
 
@@ -589,28 +491,6 @@ func TestFeatureImportance(t *testing.T) {
 	}
 	if imp[0] < 0.95 {
 		t.Fatalf("deterministic feature credited only %v", imp[0])
-	}
-}
-
-func TestForestFeatureImportance(t *testing.T) {
-	r := stats.NewRNG(33)
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 400; i++ {
-		a, b := float64(r.Intn(2)), r.Float64()
-		x = append(x, []float64{a, b})
-		y = append(y, a)
-	}
-	f := NewRandomForest(ForestParams{Trees: 10, MaxDepth: 3, Seed: 1, MaxFeatures: 2})
-	if f.FeatureImportance() != nil {
-		t.Fatal("untrained forest must report nil importance")
-	}
-	if err := f.Fit(x, y, nil); err != nil {
-		t.Fatal(err)
-	}
-	imp := f.FeatureImportance()
-	if len(imp) != 2 || imp[0] < imp[1] {
-		t.Fatalf("forest importance %v", imp)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -38,23 +37,21 @@ func (l Level) String() string {
 }
 
 // Logger writes leveled key=value lines. Loggers derived with Scope
-// share the sink, mutex, and level of their root, so raising the level
-// is visible to every scope. All methods are no-ops on a nil receiver
-// and On reports false, which lets hot paths guard formatting:
+// share the sink and mutex of their root and copy its level. All
+// methods are no-ops on a nil receiver and On reports false, which lets
+// hot paths guard formatting:
 //
 //	if lg.On(obs.LevelDebug) { lg.Debug("scanned", "level", lv) }
 type Logger struct {
 	mu    *sync.Mutex
 	w     io.Writer
-	level *atomic.Int32
+	level Level
 	scope string
 }
 
 // NewLogger returns a logger writing to w at the given level.
 func NewLogger(w io.Writer, level Level) *Logger {
-	lv := &atomic.Int32{}
-	lv.Store(int32(level))
-	return &Logger{mu: &sync.Mutex{}, w: w, level: lv}
+	return &Logger{mu: &sync.Mutex{}, w: w, level: level}
 }
 
 // Scope returns a child logger that stamps every line with scope=name.
@@ -72,17 +69,9 @@ func (l *Logger) Scope(name string) *Logger {
 	return &child
 }
 
-// SetLevel changes the level for this logger and every scope sharing
-// its root.
-func (l *Logger) SetLevel(level Level) {
-	if l != nil {
-		l.level.Store(int32(level))
-	}
-}
-
 // On reports whether lines at the given level are emitted.
 func (l *Logger) On(level Level) bool {
-	return l != nil && Level(l.level.Load()) >= level
+	return l != nil && l.level >= level
 }
 
 // Error logs at LevelError. kvs alternate key, value.

@@ -51,28 +51,12 @@ func TestLoggerQuoting(t *testing.T) {
 	}
 }
 
-// TestLoggerSharedLevel: SetLevel on a scope is visible to every other
-// scope of the same root.
-func TestLoggerSharedLevel(t *testing.T) {
-	var buf syncBuf
-	lg := NewLogger(&buf, LevelWarn)
-	scoped := lg.Scope("ml")
-	if scoped.On(LevelDebug) {
-		t.Fatal("debug must start disabled")
-	}
-	lg.SetLevel(LevelDebug)
-	if !scoped.On(LevelDebug) {
-		t.Fatal("level change must reach existing scopes")
-	}
-}
-
 func TestNilLoggerSafe(t *testing.T) {
 	var lg *Logger
 	lg.Error("e")
 	lg.Warn("w")
 	lg.Info("i")
 	lg.Debug("d")
-	lg.SetLevel(LevelDebug)
 	if lg.On(LevelError) {
 		t.Fatal("nil logger must report all levels off")
 	}

@@ -320,25 +320,3 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // publishing on /debug/vars via expvar.Func — the text form every
 // expvar scraper understands.
 func (r *Registry) Expvar() any { return r.Snapshot() }
-
-// Names returns every registered metric name, sorted — handy for
-// debug listings and tests.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

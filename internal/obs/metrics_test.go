@@ -109,24 +109,4 @@ func TestNilRegistrySafe(t *testing.T) {
 	if s := r.Snapshot(); len(s.Counters) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
-	if r.Names() != nil {
-		t.Fatal("nil registry names must be nil")
-	}
-}
-
-func TestNames(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z")
-	r.Gauge("a")
-	r.Histogram("m", nil)
-	got := r.Names()
-	want := []string{"a", "m", "z"}
-	if len(got) != len(want) {
-		t.Fatalf("names = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("names = %v, want %v", got, want)
-		}
-	}
 }

@@ -16,7 +16,7 @@
 // allocations (asserted by TestNoopTracerAllocs), so hot loops such as
 // the lattice traversal can stay instrumented in production builds.
 //
-// Attribute setters are typed (SetInt, SetStr, SetFloat) rather than
+// Attribute setters are typed (SetInt, SetStr) rather than
 // taking `any`, so disabled instrumentation does not box its arguments.
 // Guard expensive formatting with Logger.On:
 //

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -155,14 +154,6 @@ func (s *Span) SetStr(key, v string) {
 	s.set(Attr{Key: key, Value: v})
 }
 
-// SetFloat attaches a float attribute.
-func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.set(Attr{Key: key, Value: v})
-}
-
 func (s *Span) set(a Attr) {
 	s.tr.mu.Lock()
 	s.attrs = append(s.attrs, a)
@@ -293,31 +284,4 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(t.Doc())
-}
-
-// WriteTree renders the span hierarchy as an indented text tree with
-// durations — the human-readable companion of WriteJSON.
-func (t *Tracer) WriteTree(w io.Writer) error {
-	spans := t.Snapshot()
-	children := make(map[uint64][]SpanSnapshot)
-	for _, sp := range spans {
-		children[sp.Parent] = append(children[sp.Parent], sp)
-	}
-	var render func(parent uint64, depth int) error
-	render = func(parent uint64, depth int) error {
-		for _, sp := range children[parent] {
-			dur := "…"
-			if !sp.Unfinished {
-				dur = (time.Duration(sp.DurationUS) * time.Microsecond).String()
-			}
-			if _, err := fmt.Fprintf(w, "%*s%s %s\n", 2*depth, "", sp.Name, dur); err != nil {
-				return err
-			}
-			if err := render(sp.ID, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return render(0, 0)
 }

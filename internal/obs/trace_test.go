@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -145,23 +144,6 @@ func TestConcurrentSpans(t *testing.T) {
 		if s.Name == "shard" && s.Parent != spans[0].ID {
 			t.Fatalf("shard parent = %d, want %d", s.Parent, spans[0].ID)
 		}
-	}
-}
-
-func TestWriteTree(t *testing.T) {
-	tr := NewTracer()
-	ctx := WithTracer(context.Background(), tr)
-	ctx, root := StartSpan(ctx, "outer")
-	_, in := StartSpan(ctx, "inner")
-	in.End()
-	root.End()
-	var buf bytes.Buffer
-	if err := tr.WriteTree(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "outer") || !strings.Contains(out, "  inner") {
-		t.Fatalf("tree rendering wrong:\n%s", out)
 	}
 }
 

@@ -9,8 +9,9 @@ import "math"
 // the refinement for attributes with a meaningful order (age buckets,
 // income buckets) uses the natural numeric spacing |i − j| of the value
 // codes. Neighbors(p, T) is the special case of unit distances with an
-// integer radius; NeighborsOrdered(p) is the radius-1 ball under the
-// refined metric.
+// integer radius; NeighborsEuclidean(p, 1) is the ordered refinement
+// of Def. 4 at T = 1: an ordered attribute moves to an adjacent value
+// code, an unordered one to any other value.
 
 // Distance returns the Euclidean distance between two regions under
 // the refined metric, or NaN if the regions do not share the same

@@ -123,23 +123,6 @@ func TestNeighborsEuclideanOrderedRefinement(t *testing.T) {
 	}
 }
 
-func TestNeighborsEuclideanEquivalentToOrderedT1(t *testing.T) {
-	sp := testSpace(t)
-	p, _ := sp.Parse("age", "25-45", "race", "Afr-Am")
-	a := map[uint64]bool{}
-	sp.NeighborsOrdered(p, func(q Pattern) { a[sp.Key(q)] = true })
-	b := map[uint64]bool{}
-	sp.NeighborsEuclidean(p, 1, func(q Pattern) { b[sp.Key(q)] = true })
-	if len(a) != len(b) {
-		t.Fatalf("ordered T=1 (%d) != Euclidean radius 1 (%d)", len(a), len(b))
-	}
-	for k := range a {
-		if !b[k] {
-			t.Fatal("sets differ")
-		}
-	}
-}
-
 func TestNeighborsEuclideanAllWithinRadius(t *testing.T) {
 	sp := testSpace(t)
 	p := Pattern{1, 2, 0}

@@ -343,34 +343,3 @@ func (sp *Space) Neighbors(p Pattern, T int, f func(Pattern)) {
 	}
 	walk(0, T, false)
 }
-
-// NeighborsOrdered is the refined-distance variant of Neighbors for
-// T=1: for ordered attributes only adjacent value codes (distance 1 on
-// the natural numeric ordering) are neighbors; unordered attributes
-// keep the unit-distance semantics. This implements the refinement
-// discussed under Def. 4.
-func (sp *Space) NeighborsOrdered(p Pattern, f func(Pattern)) {
-	q := p.Clone()
-	for i, v := range p {
-		if v == Wildcard {
-			continue
-		}
-		if sp.Ordered[i] {
-			for _, w := range []int16{v - 1, v + 1} {
-				if w >= 0 && int(w) < sp.Cards[i] {
-					q[i] = w
-					f(q)
-				}
-			}
-		} else {
-			for w := 0; w < sp.Cards[i]; w++ {
-				if int16(w) == v {
-					continue
-				}
-				q[i] = int16(w)
-				f(q)
-			}
-		}
-		q[i] = v
-	}
-}

@@ -309,24 +309,6 @@ func TestNeighborsCountFormula(t *testing.T) {
 	})
 }
 
-func TestNeighborsOrdered(t *testing.T) {
-	sp := testSpace(t)
-	// age is ordered with 3 values; value 1 has two adjacent neighbors,
-	// value 0 has one. race is unordered: always c-1 = 2.
-	p, _ := sp.Parse("age", "25-45", "race", "Afr-Am")
-	n := 0
-	sp.NeighborsOrdered(p, func(Pattern) { n++ })
-	if n != 4 { // age: {<25, >45}; race: {Cauc, Hisp}
-		t.Fatalf("ordered neighbors = %d, want 4", n)
-	}
-	p2, _ := sp.Parse("age", "<25")
-	n = 0
-	sp.NeighborsOrdered(p2, func(Pattern) { n++ })
-	if n != 1 {
-		t.Fatalf("edge bucket neighbors = %d, want 1", n)
-	}
-}
-
 func TestCountsRatio(t *testing.T) {
 	c := Counts{N: 1279, Pos: 882}
 	// Example 4: 882/397 = 2.22.

@@ -71,7 +71,7 @@ func validateRequest(req JobRequest) (jobParams, error) {
 		return p, fmt.Errorf("min_size must be >= 1, got %d", req.MinSize)
 	}
 	if req.Scope != "" {
-		scope, err := ParseScope(req.Scope)
+		scope, err := core.ParseScope(req.Scope)
 		if err != nil {
 			return p, err
 		}
@@ -143,20 +143,6 @@ func validateTenant(name string) error {
 		}
 	}
 	return nil
-}
-
-// ParseScope resolves an identification scope name
-// (case-insensitive).
-func ParseScope(s string) (core.Scope, error) {
-	switch strings.ToLower(s) {
-	case "lattice":
-		return core.Lattice, nil
-	case "leaf":
-		return core.Leaf, nil
-	case "top":
-		return core.Top, nil
-	}
-	return 0, fmt.Errorf("unknown scope %q (lattice, leaf, top)", s)
 }
 
 // runJob executes one job's pipeline stage. It runs on an engine

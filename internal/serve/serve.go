@@ -295,9 +295,6 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 // Store exposes the durable store (nil in the in-memory mode).
 func (s *Server) Store() *durable.Store { return s.store }
 
-// NodeID returns the configured cluster node ID ("" single-node).
-func (s *Server) NodeID() string { return s.cfg.NodeID }
-
 // RecoveredTerm returns the last leadership term (and its leader) the
 // journal witnessed, captured at recovery — the cluster bootstrap's
 // starting point. Zero/"" for a journal that never ran in a cluster.

@@ -35,20 +35,10 @@ func SampleWithoutReplacement(r *rand.Rand, n, k int) []int {
 	return idx[:k]
 }
 
-// SampleWithReplacement returns k indices drawn uniformly with
-// replacement from [0, n). It panics if n <= 0 and k > 0.
-func SampleWithReplacement(r *rand.Rand, n, k int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = r.Intn(n)
-	}
-	return out
-}
-
 // WeightedSampler draws indices proportionally to fixed non-negative
-// weights in O(log n) per draw via binary search on cumulative sums.
-// Use it instead of Choice when drawing many times from the same
-// distribution (e.g. weighted bootstrap).
+// weights in O(log n) per draw via binary search on cumulative sums,
+// for drawing many times from one distribution (e.g. weighted
+// bootstrap).
 type WeightedSampler struct {
 	cum []float64
 }
@@ -86,29 +76,4 @@ func (s *WeightedSampler) Draw(r *rand.Rand) int {
 		}
 	}
 	return lo
-}
-
-// Choice returns an index in [0, len(weights)) drawn proportionally to
-// the non-negative weights. A zero total weight falls back to uniform.
-func Choice(r *rand.Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return r.Intn(len(weights))
-	}
-	u := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		u -= w
-		if u <= 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -220,16 +220,3 @@ func betaCF(a, b, x float64) float64 {
 	}
 	return h
 }
-
-// TwoProportionSignificant reports whether the difference between a
-// subgroup proportion (k1 of n1) and a reference proportion (k2 of n2)
-// is significant at level alpha under Welch's t-test on the indicator
-// variables. Degenerate cases (tiny samples) are reported as not
-// significant, matching the auditor's conservative behaviour.
-func TwoProportionSignificant(n1, k1, n2, k2 int, alpha float64) bool {
-	res, err := WelchT(BernoulliSummary(n1, k1), BernoulliSummary(n2, k2))
-	if err != nil {
-		return false
-	}
-	return res.P < alpha
-}

@@ -212,21 +212,6 @@ func TestStudentTTailKnownValues(t *testing.T) {
 	}
 }
 
-func TestTwoProportionSignificant(t *testing.T) {
-	// 80/100 vs 50/100 is clearly significant.
-	if !TwoProportionSignificant(100, 80, 100, 50, 0.05) {
-		t.Fatal("expected significance for 0.8 vs 0.5")
-	}
-	// 51/100 vs 50/100 is not.
-	if TwoProportionSignificant(100, 51, 100, 50, 0.05) {
-		t.Fatal("expected no significance for 0.51 vs 0.50")
-	}
-	// Degenerate inputs are conservatively not significant.
-	if TwoProportionSignificant(1, 1, 100, 50, 0.05) {
-		t.Fatal("expected degenerate case to be not significant")
-	}
-}
-
 func TestSampleWithoutReplacement(t *testing.T) {
 	r := NewRNG(1)
 	got := SampleWithoutReplacement(r, 10, 4)
@@ -247,54 +232,6 @@ func TestSampleWithoutReplacement(t *testing.T) {
 	all := SampleWithoutReplacement(r, 5, 9)
 	if len(all) != 5 {
 		t.Fatalf("len = %d, want 5", len(all))
-	}
-}
-
-func TestSampleWithReplacement(t *testing.T) {
-	r := NewRNG(2)
-	got := SampleWithReplacement(r, 3, 100)
-	if len(got) != 100 {
-		t.Fatalf("len = %d", len(got))
-	}
-	counts := map[int]int{}
-	for _, i := range got {
-		if i < 0 || i >= 3 {
-			t.Fatalf("index %d out of range", i)
-		}
-		counts[i]++
-	}
-	if len(counts) != 3 {
-		t.Fatalf("expected all values drawn, got %v", counts)
-	}
-}
-
-func TestChoice(t *testing.T) {
-	r := NewRNG(3)
-	w := []float64{0, 0, 1, 0}
-	for i := 0; i < 50; i++ {
-		if got := Choice(r, w); got != 2 {
-			t.Fatalf("Choice = %d, want 2", got)
-		}
-	}
-	// Zero weights fall back to uniform: all indices should appear.
-	zero := []float64{0, 0, 0}
-	seen := map[int]bool{}
-	for i := 0; i < 200; i++ {
-		seen[Choice(r, zero)] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("uniform fallback missing values: %v", seen)
-	}
-	// Heavier weights win more often.
-	heavy := []float64{1, 9}
-	n1 := 0
-	for i := 0; i < 2000; i++ {
-		if Choice(r, heavy) == 1 {
-			n1++
-		}
-	}
-	if n1 < 1600 || n1 > 1990 {
-		t.Fatalf("weighted draw off: %d/2000", n1)
 	}
 }
 

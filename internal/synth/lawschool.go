@@ -9,12 +9,9 @@ import (
 // (after the paper's uniform sampling to a balanced label).
 const LawSchoolSize = 4590
 
-// LawSchoolProtected is the paper's protected attribute set for Law
-// School (Table II, |X| = 4).
-var LawSchoolProtected = []string{"age", "gender", "race", "family_income"}
-
 // LawSchoolSchema returns the 12-attribute schema of the synthetic LSAC
-// Law School dataset.
+// Law School dataset. Its Protected flags mark the paper's protected
+// set (Table II, |X| = 4): age, gender, race and family_income.
 func LawSchoolSchema() *dataset.Schema {
 	return &dataset.Schema{
 		Target: "pass_bar",
