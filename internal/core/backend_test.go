@@ -298,10 +298,23 @@ func BenchmarkPreload(b *testing.B) {
 
 func BenchmarkIdentifyOptimized(b *testing.B) {
 	d := adult8(b)
+	cfg := Config{TauC: 0.5, T: 1, Workers: 1}
 	b.Run("adult8", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := IdentifyOptimized(d, Config{TauC: 0.5, T: 1, Workers: 1})
+			res, err := IdentifyOptimized(d, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchResult = res
+		}
+	})
+	// The same identify on the sparse layout, which counts the leaf
+	// tuples and derives each node on its first read.
+	b.Run("adult8-sparse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := newHierarchyOn(b, d, sparse).IdentifyOptimizedCtx(context.Background(), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -281,14 +281,22 @@ func (h *Hierarchy) lattice() *pattern.Lattice {
 	return h.lat
 }
 
-// count returns the counts of region p, read straight from the cube
-// in the dense layout: the traversal's hottest call.
+// count returns the counts of region p: the read of the naïve walk,
+// and of the optimized one for the ancestors at 1 < T < level.
 func (h *Hierarchy) count(p pattern.Pattern) pattern.Counts {
+	c := h.lattice().Counts(p)
+	return pattern.Counts{N: int(c[0] + c[1]), Pos: int(c[1])}
+}
+
+// countAt returns the counts of the region at lattice address a of
+// node mask (pattern.Lattice.Stride): the optimized traversal's read,
+// straight from the cube in the dense layout.
+func (h *Hierarchy) countAt(a uint64, mask uint32) pattern.Counts {
 	lat := h.lattice()
 	if cube := lat.Cube(); cube != nil {
-		return cube.LabelCounts(cube.Index(p))
+		return cube.LabelCounts(int(a))
 	}
-	c := lat.Counts(p)
+	c := lat.At(a, mask)
 	return pattern.Counts{N: int(c[0] + c[1]), Pos: int(c[1])}
 }
 
@@ -428,16 +436,28 @@ func (h *Hierarchy) masksForScope(s Scope) []uint32 {
 }
 
 // sortRegions orders the IBS deterministically: by level descending
-// (leaf first, matching the traversal), then by key.
+// (leaf first, matching the traversal), then by key. Each region's
+// order is computed once: MaxDim − level above the 60 key bits.
 func (h *Hierarchy) sortRegions(rs []Region) {
-	sp := h.Space
-	sort.Slice(rs, func(i, j int) bool {
-		li, lj := rs[i].Pattern.Level(), rs[j].Pattern.Level()
-		if li != lj {
-			return li > lj
-		}
-		return sp.Key(rs[i].Pattern) < sp.Key(rs[j].Pattern)
-	})
+	keys := make([]uint64, len(rs))
+	for i := range rs {
+		p := rs[i].Pattern
+		keys[i] = uint64(pattern.MaxDim-p.Level())<<60 | h.Space.Key(p)
+	}
+	sort.Sort(regionsByKey{keys, rs})
+}
+
+// regionsByKey sorts regions by their precomputed keys.
+type regionsByKey struct {
+	keys []uint64
+	rs   []Region
+}
+
+func (s regionsByKey) Len() int           { return len(s.keys) }
+func (s regionsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s regionsByKey) Swap(i, j int) {
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.rs[i], s.rs[j] = s.rs[j], s.rs[i]
 }
 
 // levelOf returns the popcount of a mask (the hierarchy level).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -306,21 +307,30 @@ func (h *Hierarchy) scanLevel(ctx context.Context, masks []uint32, cfg Config, o
 	return ctx.Err()
 }
 
-// levelReads returns the nodes a level's scan reads: the level's own
-// masks, then every node 1 to T levels up (none once T reaches the
-// level, whose neighborhoods come from the totals; at T = 1 only the
-// level above).
+// levelReads returns the nodes a level's scan reads, nearest first (a
+// node rolls up fastest from one attribute more): the level's own
+// masks; every node 1 to T levels up, which the neighborhoods read
+// (none once T reaches the level, whose neighborhoods come from the
+// totals; at T = 1 only the level above); and at the other levels
+// each mask's prefix ancestor, its first slots, at which
+// scanNodeOptimized tests the size floor.
 func (h *Hierarchy) levelReads(masks []uint32, T int) []uint32 {
 	lv := levelOf(masks[0])
-	if T >= lv {
-		return masks
-	}
 	reads := masks[:len(masks):len(masks)]
-	for up := lv - 1; up >= lv-T; up-- { // nearest first: a node rolls up fastest from one attribute more
-		for m := uint32(1); m < uint32(1)<<uint(h.Space.Dim()); m++ {
-			if levelOf(m) == up {
-				reads = append(reads, m)
+	for up := lv - 1; up >= 0; up-- {
+		if T < lv && up >= lv-T {
+			for m := uint32(1); m < uint32(1)<<uint(h.Space.Dim()); m++ {
+				if levelOf(m) == up {
+					reads = append(reads, m)
+				}
 			}
+			continue
+		}
+		for _, m := range masks {
+			for levelOf(m) > up {
+				m &^= 1 << uint(31-bits.LeadingZeros32(m)) // drop the last slot
+			}
+			reads = append(reads, m)
 		}
 	}
 	return reads
@@ -349,28 +359,89 @@ func (h *Hierarchy) scanMask(ctx context.Context, mask uint32, cfg Config, out *
 // 4-12 of Algorithm 1) for one hierarchy node, adding its biased
 // regions and work counters to out. The scan aborts early once c
 // reports cancellation.
+//
+// It walks the node's regions in EnumerateNode's order, an odometer
+// over the node's slots whose first slot turns slowest, and carries
+// each region's lattice address (pattern.Lattice.Stride) one digit at
+// a time. With the first j slots set and the rest wildcarded, the
+// address is that of the prefix ancestor every region below it shares.
+// A region holds no more rows than its ancestors, so once a prefix
+// ancestor is at or under MinSize the whole sub-block below it is
+// pruned: the walk adds its size to Pruned and moves on. The level's
+// fill derives the prefix nodes (levelReads), so a concurrent scan
+// only reads.
 func (h *Hierarchy) scanNodeOptimized(ctx context.Context, mask uint32, cfg Config, out *LevelSnapshot, c *canceler) {
+	lat := h.lattice()
+	var w nodeWalk
+	n := w.reset(h.Space, lat, mask)
 	k := cfg.minSize()
-	d := levelOf(mask)
-	T := cfg.T
-	if T > d {
-		T = d
-	}
-	h.Space.EnumerateNodeUntil(mask, func(p pattern.Pattern) bool {
+	T := min(cfg.T, n)
+	p := w.p
+	for j := 0; ; {
+		// The region at depth j has slots[:j] set, at address addr[j].
 		if c.cancelled(ctx) {
-			return false
+			return
 		}
-		rc := h.count(p)
-		if rc.N <= k {
-			out.Pruned++
-			return true
+		rc := h.countAt(w.addr[j], w.masks[j])
+		switch {
+		case rc.N <= k:
+			out.Pruned += w.block[j]
+		case j < n:
+			p[w.slots[j]] = 0
+			w.addr[j+1] = w.addr[j] + w.step[j]
+			j++
+			continue
+		default:
+			out.Explored++
+			nc, ops := h.neighborViaDominating(p, mask, w.addr[n], rc, T)
+			out.NeighborOps += ops
+			out.Regions = appendIfBiased(out.Regions, p, rc, nc, cfg.TauC)
 		}
-		out.Explored++
-		nc, ops := h.neighborViaDominating(p, rc, T)
-		out.NeighborOps += ops
-		out.Regions = appendIfBiased(out.Regions, p, rc, nc, cfg.TauC)
-		return true
-	})
+		// Advance the deepest set slot, unsetting the exhausted ones.
+		for ; j > 0; j-- {
+			s := w.slots[j-1]
+			if p[s]+1 < w.card[j-1] {
+				p[s]++
+				w.addr[j] += w.step[j-1]
+				break
+			}
+			p[s] = pattern.Wildcard
+		}
+		if j == 0 {
+			return
+		}
+	}
+}
+
+// nodeWalk is scanNodeOptimized's state for one node of n slots. Depth
+// j in 0..n is the region with the node's first j slots set.
+type nodeWalk struct {
+	p     pattern.Pattern            // the region under the walk
+	slots [pattern.MaxDim]int        // the node's slots, ascending
+	card  [pattern.MaxDim]int16      // card[j]: the values of slots[j]
+	step  [pattern.MaxDim]uint64     // step[j]: the address stride of slots[j]
+	masks [pattern.MaxDim + 1]uint32 // masks[j]: the node of slots[:j]
+	block [pattern.MaxDim + 1]int    // block[j]: the node's regions below depth j
+	addr  [pattern.MaxDim + 1]uint64 // addr[j]: the address at depth j
+}
+
+// reset starts a walk of node mask over lattice lat at its
+// all-wildcard prefix and returns the node's level n.
+func (w *nodeWalk) reset(sp *pattern.Space, lat *pattern.Lattice, mask uint32) int {
+	w.p = pattern.NewPattern(sp.Dim())
+	n := 0
+	for s := 0; s < sp.Dim(); s++ {
+		if mask&(1<<uint(s)) != 0 {
+			w.slots[n], w.card[n], w.step[n] = s, int16(sp.Cards[s]), lat.Stride(s)
+			w.masks[n+1] = w.masks[n] | 1<<uint(s)
+			n++
+		}
+	}
+	w.block[n] = 1
+	for j := n - 1; j >= 0; j-- {
+		w.block[j] = w.block[j+1] * int(w.card[j])
+	}
+	return n
 }
 
 // BiasedRegionsInNodeCtx identifies the biased regions of a single
@@ -406,8 +477,8 @@ func (h *Hierarchy) MasksForScope(s Scope) []uint32 { return h.masksForScope(s) 
 //
 // At T >= d the neighborhood is every sibling: the dataset totals
 // minus p. At T = 1 the set R_d is p's d parents: sum their counts and
-// subtract the d-fold over-count of p itself (the cube reads the
-// parents by offset). In between, the paper's sum over the C(d, T)
+// subtract the d-fold over-count of p itself (read by offset from p's
+// lattice address a). In between, the paper's sum over the C(d, T)
 // ancestors T levels up weighs a row by how many of them hold it, so
 // Def. 4's neighborhood is recovered by inversion, which at T = 1 is
 // the parents' identity again. Let A_u sum the counts of the C(d, u) ancestors with u of p's fixed
@@ -416,8 +487,8 @@ func (h *Hierarchy) MasksForScope(s Scope) []uint32 { return h.masksForScope(s) 
 // ancestors, so A_u = Σ_{j≤u} C(d−j, u−j)·E_j, whence
 // E_j = Σ_{u≤j} (−1)^{j−u}·C(d−u, j−u)·A_u and the neighborhood
 // Σ_{j=1..T} E_j is Σ_{u=0..T} w_u·A_u (neighborWeight), in integers.
-func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, rc pattern.Counts, T int) (pattern.Counts, int) {
-	d := p.Level()
+func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, mask uint32, a uint64, rc pattern.Counts, T int) (pattern.Counts, int) {
+	d := levelOf(mask)
 	if T >= d {
 		// R_d = {level-0 root}: the neighboring region is every sibling,
 		// i.e. the dataset totals minus the region.
@@ -431,14 +502,13 @@ func (h *Hierarchy) neighborViaDominating(p pattern.Pattern, rc pattern.Counts, 
 		sum.Pos += c.Pos
 		size++
 	}
-	if cube := h.lattice().Cube(); T == 1 && cube != nil {
-		// Dropping slot i zeroes its digit: that parent's cell lies
-		// (p[i]+1)·stride_i below p's.
-		idx := cube.Index(p)
-		for i, v := range p {
-			if v != pattern.Wildcard {
-				add(cube.LabelCounts(idx - int(v+1)*cube.Stride(i)))
-			}
+	if T == 1 {
+		// Dropping slot i zeroes its digit: that parent's address lies
+		// (p[i]+1)·Stride(i) below p's.
+		lat := h.lattice()
+		for m := mask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			add(h.countAt(a-uint64(p[i]+1)*lat.Stride(i), mask&^(1<<uint(i))))
 		}
 		return pattern.Counts{N: sum.N - size*rc.N, Pos: sum.Pos - size*rc.Pos}, size
 	}
@@ -476,13 +546,8 @@ func neighborWeight(d, T, u int) int {
 }
 
 // ancestorsTLevelsUp calls f for each pattern obtained from p by
-// removing exactly T deterministic elements. For T = 1 this is
-// Space.Parents.
+// removing exactly T deterministic elements.
 func (h *Hierarchy) ancestorsTLevelsUp(p pattern.Pattern, T int, f func(pattern.Pattern)) {
-	if T == 1 {
-		h.Space.Parents(p, f)
-		return
-	}
 	slots := make([]int, 0, len(p))
 	for i, v := range p {
 		if v != pattern.Wildcard {

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/bits"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/synth"
 )
@@ -143,6 +145,62 @@ func TestIdentifyPreCancelled(t *testing.T) {
 	}
 	if _, err := IdentifyNaiveCtx(ctx, d, Config{TauC: 0.1, T: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("naive err = %v, want context.Canceled", err)
+	}
+}
+
+// cancelAfterPolls is a context that reports cancellation from its
+// (polls+1)-th Err call on.
+type cancelAfterPolls struct {
+	context.Context
+	polls, calls int
+}
+
+func (c *cancelAfterPolls) Err() error {
+	c.calls++
+	if c.calls > c.polls {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSkippedNodeCancelled cancels the scan of a node whose sub-blocks
+// the size floor all skips: the leaf of three slots of cardinality 30
+// at MinSize 5, where each level-1 prefix holds 6 rows and each
+// level-2 prefix at most 1, so the walk reads 931 regions and skips
+// 900 sub-blocks. Cancelled before the walk, or at its second ctx poll
+// mid-node, the scan must return context.Canceled without panicking,
+// in both layouts.
+func TestSkippedNodeCancelled(t *testing.T) {
+	s := &dataset.Schema{Target: "y"}
+	vals := make([]string, 30)
+	for v := range vals {
+		vals[v] = fmt.Sprint(v)
+	}
+	for i := 0; i < 3; i++ {
+		s.Attrs = append(s.Attrs, dataset.Attr{Name: fmt.Sprintf("a%d", i), Values: vals, Protected: true})
+	}
+	d := dataset.New(s)
+	for r := 0; r < 180; r++ {
+		d.Append([]int32{int32(r % 30), int32(r / 30), 0}, int8(r%2))
+	}
+	cfg := Config{TauC: 0.1, T: 1, MinSize: 5}
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, bk := range backends {
+		h := newHierarchyOn(t, d, bk.b)
+		if _, err := h.BiasedRegionsInNodeCtx(pre, 0b111, cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: pre-cancelled: err = %v, want context.Canceled", bk.name, err)
+		}
+		mid := &cancelAfterPolls{Context: context.Background(), polls: 1}
+		if _, err := h.BiasedRegionsInNodeCtx(mid, 0b111, cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled mid-node: err = %v, want context.Canceled", bk.name, err)
+		}
+		if mid.calls != 2 {
+			t.Fatalf("%s: ctx polled %d times, want 2 (the walk's first and second poll)", bk.name, mid.calls)
+		}
+		if _, err := h.BiasedRegionsInNodeCtx(context.Background(), 0b111, cfg); err != nil {
+			t.Fatalf("%s: uncancelled: %v", bk.name, err)
+		}
 	}
 }
 

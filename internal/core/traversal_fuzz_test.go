@@ -12,14 +12,16 @@ import (
 
 // FuzzIdentifyTraversal checks the optimized traversal against
 // IdentifyNaive, which counts every neighbor by scanning the rows, on
-// a random schema, random rows and labels, and a random τ_c, MinSize
-// and Scope. Labels lean positive by a random bias, so small regions
-// often have |r−| = 0 and take the −1 ratio sentinel. Every variant of
-// the optimized traversal must match the oracle region for region,
-// counts and ratio bits included, and in Explored and Pruned: both
-// lattice layouts, Workers 1, 2 and 4, and a resume from every level
-// checkpoint. NeighborOps is the optimized algorithm's own cost, so it
-// must agree across those variants only.
+// a random schema of at most maxFuzzRegions regions, random rows and
+// labels, and a random τ_c, MinSize and Scope. Labels lean positive by
+// a random bias, so small regions often have |r−| = 0 and take the −1
+// ratio sentinel. Every variant of the optimized traversal must match
+// the oracle region for region, counts and ratio bits included, and in
+// Explored and Pruned: both lattice layouts at Workers 1, 2 and 4,
+// with the same level checkpoints, and per layout a resume from every
+// checkpoint at one worker count the input picks. NeighborOps is the
+// optimized algorithm's own cost, so it must agree across those
+// variants only.
 //
 // T is any of 1..|X|+1. Half the inputs draw T = 1 and a quarter
 // draw T = |X| or |X|+1, the settings the paper evaluates; the last
@@ -29,9 +31,20 @@ func FuzzIdentifyTraversal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 2, 0, 1, 0, 0, 1, 60, 40, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{4, 3, 2, 4, 5, 1, 2, 2, 1, 90, 70, 2, 200, 17, 33, 65, 129, 7, 12, 99, 1, 2, 3, 5, 8, 13, 21, 34, 55})
+	// |X| = 3 of cardinality 3, τ_c = 0, MinSize 8, lattice scope,
+	// T = 1, and 20 rows: a0 = 0 in 14 of them, 1 in 6, never 2. The
+	// level-1 prefixes (a0=1) and (a0=2) are under MinSize, so the
+	// scans of level 2's three nodes skip sub-blocks, concurrently at
+	// Workers 2 and 4, on both layouts.
+	skip := []byte{2, 1, 1, 1, 0, 7, 0, 0, 1, 20, 0}
+	for r := byte(0); r < 20; r++ {
+		skip = append(skip, r/14, r%3, r/3%3, r%4)
+	}
+	f.Add(skip)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		s := in.schema()
+		capRegions(s, maxFuzzRegions)
 		dim := len(s.Attrs)
 		cfg := Config{TauC: float64(in.next()%8) / 4, MinSize: 1 + in.next()%8, Scope: Scope(in.next() % 3), T: 1}
 		switch in.next() % 4 {
@@ -66,8 +79,9 @@ func FuzzIdentifyTraversal(f *testing.F) {
 			}
 		}
 		var cuts []LevelSnapshot
-		for _, bk := range backends {
-			for _, workers := range []int{1, 2, 4} {
+		workerCounts := []int{1, 2, 4}
+		for i, bk := range backends {
+			for _, workers := range workerCounts {
 				variant := fmt.Sprintf("%s/workers=%d", bk.name, workers)
 				var snaps []LevelSnapshot
 				c := cfg
@@ -82,14 +96,44 @@ func FuzzIdentifyTraversal(f *testing.F) {
 				} else if !reflect.DeepEqual(snaps, cuts) {
 					t.Fatalf("%s %s: level checkpoints differ from dense/workers=1", name, variant)
 				}
-				c.OnLevel = nil
-				for k := range snaps {
-					c.Resume = snaps[:k+1]
-					check(fmt.Sprintf("%s/resumed after %d levels", variant, k+1), identifyOn(t, d, bk.b, c))
-				}
+			}
+			// The checkpoints match at every worker count, so each
+			// layout resumes from every cut at one of them, which the
+			// input picks.
+			c := cfg
+			c.Workers = workerCounts[(d.Len()+i)%len(workerCounts)]
+			for k := range cuts {
+				c.Resume = cuts[:k+1]
+				check(fmt.Sprintf("%s/workers=%d/resumed after %d levels", bk.name, c.Workers, k+1), identifyOn(t, d, bk.b, c))
 			}
 		}
 	})
+}
+
+// maxFuzzRegions caps the lattice of a FuzzIdentifyTraversal input.
+// IdentifyNaive and the dense cube cost in proportion to the regions,
+// and a 7^6-region input takes ~0.1 s an exec, which stalls the fuzzer
+// for its whole minimisation. The cap still admits 6 attributes of
+// cardinality 3 and 4 of cardinality 6.
+const maxFuzzRegions = 4096
+
+// capRegions drops the last value of the widest attribute of s until
+// its lattice has at most limit regions.
+func capRegions(s *dataset.Schema, limit int) {
+	for {
+		n, widest := 1, 0
+		for i, a := range s.Attrs {
+			n *= len(a.Values) + 1
+			if len(a.Values) > len(s.Attrs[widest].Values) {
+				widest = i
+			}
+		}
+		if n <= limit {
+			return
+		}
+		a := &s.Attrs[widest]
+		a.Values = a.Values[:len(a.Values)-1]
+	}
 }
 
 // sameAsOracle asserts an optimized Result equals the naïve oracle's

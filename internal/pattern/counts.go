@@ -179,18 +179,38 @@ func (l *Lattice) Fill(masks []uint32) {
 // Cube returns the dense layout's cube, or nil in the sparse layout.
 func (l *Lattice) Cube() *Cube { return l.cube }
 
+// Stride returns the address distance between consecutive digits of
+// slot i. Region p's address is Σ (p[i]+1)·Stride(i): its cell index
+// in the dense layout, its Key in the sparse one. So dropping slot i
+// moves an address down by (p[i]+1)·Stride(i), and the address with
+// only some slots set is the address of that ancestor.
+func (l *Lattice) Stride(i int) uint64 {
+	if l.cube != nil {
+		return uint64(l.cube.strides[i])
+	}
+	return 1 << uint(5*i)
+}
+
 // Counts returns the k class counts of region p; the caller must not
 // modify them. Every empty region shares one zero slice.
 func (l *Lattice) Counts(p Pattern) []int32 {
-	var s int
-	if l.cube != nil {
-		s = l.cube.Index(p)
-	} else {
-		key := l.sp.Key(p)
-		i, ok := l.slots[key]
-		if !ok && l.nodes[p.Mask()] == nil {
-			l.derive(p.Mask()) // then the region has a slot if it is non-empty
-			i, ok = l.slots[key]
+	var a uint64
+	for i, v := range p {
+		a += uint64(v+1) * l.Stride(i)
+	}
+	return l.At(a, p.Mask())
+}
+
+// At returns the k class counts of the region at address a (see
+// Stride) of node mask, as Counts does. A sparse read of a node that
+// is not derived derives it.
+func (l *Lattice) At(a uint64, mask uint32) []int32 {
+	s := int(a)
+	if l.cube == nil {
+		i, ok := l.slots[a]
+		if !ok && l.nodes[mask] == nil {
+			l.derive(mask) // then the region has a slot if it is non-empty
+			i, ok = l.slots[a]
 		}
 		if !ok {
 			return l.zero[:l.k:l.k]

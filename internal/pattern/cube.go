@@ -16,7 +16,7 @@ const maxCubeCounts = 1 << 27
 // Cards[i]+1 values: digit 0 is the wildcard and digit v+1 is value v,
 // the compact form of Key. Every cell holds its region's counts at
 // every level, so a dominating region is an array read: dropping slot
-// i of p moves the index by -(p[i]+1)·Stride(i).
+// i of p moves the index by -(p[i]+1)·strides[i] (Lattice.Stride).
 type Cube struct {
 	sp      *Space
 	k       int
@@ -75,18 +75,6 @@ func (sp *Space) countCube(d *dataset.Dataset, classes []int8, k int) *Cube {
 	}
 	return c
 }
-
-// Index returns the cell index of region p.
-func (c *Cube) Index(p Pattern) int {
-	idx := 0
-	for i, v := range p {
-		idx += int(v+1) * c.strides[i]
-	}
-	return idx
-}
-
-// Stride returns the index distance between consecutive digits of slot i.
-func (c *Cube) Stride(i int) int { return c.strides[i] }
 
 // LabelCounts returns the Counts of the region at cell index i of a
 // cube counted with the labels as classes (k = 2: negative, positive).
