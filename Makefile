@@ -30,13 +30,17 @@ OUT ?= BENCH_dev.json
 bench:
 	sh scripts/bench.sh $(OUT)
 
+# fuzz runs each target for 30 s. The coordinator minimises every new
+# interesting input, not only crashers, for up to -fuzzminimizetime
+# (60 s by default), which could eat a whole 30-s run; 5 s bounds it.
+# Crashers are still saved under testdata/fuzz and reported.
 fuzz:
-	$(GO) test ./internal/dataset/ -fuzz FuzzReadCSV -fuzztime 30s
-	$(GO) test ./internal/durable/ -fuzz FuzzJournalReplay -fuzztime 30s
-	$(GO) test ./internal/core/ -fuzz FuzzHierarchyCounts -fuzztime 30s
-	$(GO) test ./internal/core/ -fuzz FuzzIdentifyTraversal -fuzztime 30s
-	$(GO) test ./internal/pattern/ -fuzz FuzzGroupRows -fuzztime 30s
-	$(GO) test ./internal/ml/ -fuzz FuzzTreeFit -fuzztime 30s
+	$(GO) test ./internal/dataset/ -fuzz FuzzReadCSV -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/durable/ -fuzz FuzzJournalReplay -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/core/ -fuzz FuzzHierarchyCounts -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/core/ -fuzz FuzzIdentifyTraversal -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/pattern/ -fuzz FuzzGroupRows -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/ml/ -fuzz FuzzTreeFit -fuzztime 30s -fuzzminimizetime 5s
 
 # check is the CI gate; its step list lives in scripts/check.sh.
 check:

@@ -14,19 +14,21 @@ import (
 // synthetic instances until all cells within a subgroup reach the same
 // size, yielding both equal and balanced class distributions. Synthetic
 // rows are generated SMOTE-style: a seed instance is combined with one
-// of its k nearest neighbors inside the same cell (Hamming distance on
-// the categorical attributes), taking each attribute from either
-// parent at random — the categorical analogue of SMOTE's interpolation.
+// of its smoteK = 5 nearest neighbors inside the same cell (Hamming
+// distance on the categorical attributes), taking each attribute from
+// either parent at random — the categorical analogue of SMOTE's
+// interpolation.
 //
 // The k-nearest-neighbor search per synthetic instance is what makes
 // Fair-SMOTE orders of magnitude slower than the other pre-processing
 // methods (Table III).
 type FairSMOTE struct {
-	// K is the neighborhood size; 0 means 5.
-	K int
 	// Seed drives seed/neighbor/crossover draws.
 	Seed int64
 }
+
+// smoteK is Fair-SMOTE's neighborhood size.
+const smoteK = 5
 
 // Name implements Preprocessor.
 func (FairSMOTE) Name() string { return "Fair-SMOTE" }
@@ -39,10 +41,6 @@ func (f FairSMOTE) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 	}
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("baselines: empty dataset")
-	}
-	k := f.K
-	if k <= 0 {
-		k = 5
 	}
 	rng := stats.NewRNG(f.Seed)
 	out := d.Clone()
@@ -60,7 +58,7 @@ func (f FairSMOTE) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 			}
 			for add := target - len(cell); add > 0; add-- {
 				seed := cell[rng.Intn(len(cell))]
-				nb := nearestNeighbor(d, cell, seed, k, rng)
+				nb := nearestNeighbor(d, cell, seed, smoteK, rng)
 				row := crossover(d.Rows[seed], d.Rows[nb], rng)
 				if err := out.Append(row, d.Labels[seed]); err != nil {
 					return nil, err

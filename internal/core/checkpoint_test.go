@@ -169,10 +169,7 @@ func TestOnLevelSnapshotsSameAtAnyWorkerCount(t *testing.T) {
 
 func TestCheckpointConfigValidation(t *testing.T) {
 	d := randomData(t, 100, 1)
-	hook := func(context.Context, LevelSnapshot) error { return nil }
 	for _, cfg := range []Config{
-		{TauC: 0.2, T: 1, EuclideanT: 1.5, OnLevel: hook},
-		{TauC: 0.2, T: 1, Resume: []LevelSnapshot{{Level: 1}}, EuclideanT: 1.5},
 		{TauC: 0.2, T: 1, Resume: []LevelSnapshot{{Level: 0}}},
 		{TauC: 0.2, T: 1, Resume: []LevelSnapshot{{Level: -3}}},
 	} {

@@ -66,10 +66,12 @@ func ParseScope(s string) (Scope, error) {
 type Config struct {
 	// TauC is the imbalance threshold τ_c of Def. 5.
 	TauC float64
-	// T is the distance threshold of the neighboring region (Def. 4).
-	// The basic unit-distance setting is used: a neighbor differs from
-	// the region in at least 1 and at most T deterministic coordinates.
-	// T is clamped per-region to the region's level d.
+	// T is the distance threshold of the neighboring region (Def. 4)
+	// in the paper's basic unit-distance setting, the only metric
+	// implemented: a neighbor differs from the region in at least 1
+	// and at most T deterministic coordinates, whatever the values'
+	// order. T is clamped per-region to the region's level d. Both
+	// traversals accept every T >= 1 and agree at every T.
 	T int
 	// MinSize is the significance threshold k: regions with |r| <= k
 	// are skipped (Problem 1). Zero means the paper's default of 30.
@@ -80,17 +82,6 @@ type Config struct {
 	// traversal on up to that many goroutines. The Result and the
 	// OnLevel snapshots are identical at every count.
 	Workers int
-	// EuclideanT, when positive, selects the fully general Def. 4
-	// metric: the neighboring region is the Euclidean ball of this
-	// radius under the refined per-attribute distances (natural spacing
-	// for ordered attributes, unit otherwise). EuclideanT: 1 is the
-	// ordered refinement discussed under Def. 4: a neighbor moves one
-	// ordered attribute to an adjacent value, or one unordered
-	// attribute to any other value. It overrides T, and is supported by
-	// the traversal of the naïve algorithm (IdentifyOptimized falls back
-	// automatically, as the dominating-region identity assumes unit
-	// distances).
-	EuclideanT float64
 	// OnLevel, when set, is called after each hierarchy level of the
 	// optimized traversal completes, with a snapshot of that level's
 	// regions and work counters — the checkpoint hook long-running
@@ -99,9 +90,8 @@ type Config struct {
 	// returned with the partial Result. It is called at the level
 	// barrier, after the level's workers are joined, at every Workers
 	// count; a level cut short by an error or cancellation is not
-	// checkpointed. Rejected alongside EuclideanT, whose naïve
-	// traversal does not checkpoint. Never marshaled
-	// (func); resumable state lives in the snapshots it is handed.
+	// checkpointed. Never marshaled (func); resumable state lives in
+	// the snapshots it is handed.
 	OnLevel func(ctx context.Context, snap LevelSnapshot) error `json:"-"`
 	// Resume seeds the traversal with previously checkpointed levels:
 	// their regions and counters are folded into the Result and their
@@ -150,12 +140,6 @@ func (c Config) validate() error {
 	}
 	if c.T < 1 {
 		return fmt.Errorf("core: distance threshold T must be >= 1, got %d", c.T)
-	}
-	if c.EuclideanT < 0 {
-		return fmt.Errorf("core: negative Euclidean radius %v", c.EuclideanT)
-	}
-	if (c.OnLevel != nil || len(c.Resume) > 0) && c.EuclideanT > 0 {
-		return fmt.Errorf("core: level checkpoints require the optimized unit-distance traversal")
 	}
 	for _, snap := range c.Resume {
 		if snap.Level < 1 {

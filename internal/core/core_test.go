@@ -287,21 +287,6 @@ func TestHierarchyCachingAndInvalidate(t *testing.T) {
 	}
 }
 
-func TestOrderedDistanceNarrowsNeighborhood(t *testing.T) {
-	d := biasedData(t)
-	basic := mustIdentify(t, IdentifyNaive, d, Config{TauC: 0.25, T: 1})
-	// EuclideanT: 1 is Def. 4's ordered refinement.
-	ordered := mustIdentify(t, IdentifyNaive, d, Config{TauC: 0.25, T: 1, EuclideanT: 1})
-	// Both find the injected region; neighbor aggregates differ in size.
-	if basic.NeighborOps <= ordered.NeighborOps {
-		t.Fatalf("ordered distance should visit fewer neighbors: %d vs %d",
-			ordered.NeighborOps, basic.NeighborOps)
-	}
-	// Optimized must silently fall back to naive for ordered distance.
-	viaOpt := mustIdentify(t, IdentifyOptimized, d, Config{TauC: 0.25, T: 1, EuclideanT: 1})
-	assertSameRegions(t, ordered, viaOpt)
-}
-
 func TestRegionGapAndSentinel(t *testing.T) {
 	r := Region{Ratio: 2.2, NeighborRatio: 0.64}
 	if g := r.Gap(); math.Abs(g-1.56) > 1e-9 {

@@ -142,11 +142,7 @@ func (h *Hierarchy) IdentifyNaiveCtx(ctx context.Context, cfg Config) (*Result, 
 				nc.Pos += cnt.Pos
 				res.NeighborOps++
 			}
-			if cfg.EuclideanT > 0 {
-				h.Space.NeighborsEuclidean(p, cfg.EuclideanT, visit)
-			} else {
-				h.Space.Neighbors(p, cfg.T, visit)
-			}
+			h.Space.Neighbors(p, cfg.T, visit)
 			res.Regions = appendIfBiased(res.Regions, p, rc, nc, cfg.TauC)
 			return true
 		})
@@ -197,11 +193,6 @@ func IdentifyOptimizedCtx(ctx context.Context, d *dataset.Dataset, cfg Config) (
 func (h *Hierarchy) IdentifyOptimizedCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.EuclideanT > 0 {
-		// The dominating-region identity assumes the basic
-		// unit-distance setting; fall back to the naïve traversal.
-		return h.IdentifyNaiveCtx(ctx, cfg)
 	}
 	ctx, sp := obs.StartSpan(ctx, "core.identify.optimized")
 	sp.SetStr("scope", cfg.Scope.String())

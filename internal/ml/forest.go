@@ -7,16 +7,14 @@ import (
 	"repro/internal/stats"
 )
 
-// ForestParams configures a random forest.
+// ForestParams configures a random forest. Every tree samples
+// ⌈√features⌉ candidate features per split and keeps the tree's
+// default minimum leaf weight of 1.
 type ForestParams struct {
 	// Trees is the ensemble size; 0 means the default of 50.
 	Trees int
 	// MaxDepth per tree; 0 means the default of 10.
 	MaxDepth int
-	// MaxFeatures per split; 0 means sqrt(#features).
-	MaxFeatures int
-	// MinLeafWeight per tree leaf; 0 means 1.
-	MinLeafWeight float64
 	// Seed drives bootstrapping and feature sampling.
 	Seed int64
 }
@@ -58,10 +56,7 @@ func (f *RandomForest) FitCtx(ctx context.Context, x [][]float64, y []float64, w
 	}
 	rng := stats.NewRNG(f.Params.Seed)
 	n := len(x)
-	maxFeat := f.Params.MaxFeatures
-	if maxFeat <= 0 {
-		maxFeat = int(math.Ceil(math.Sqrt(float64(len(x[0])))))
-	}
+	maxFeat := int(math.Ceil(math.Sqrt(float64(len(x[0])))))
 	var sampler *stats.WeightedSampler
 	if w != nil {
 		sampler = stats.NewWeightedSampler(w)
@@ -86,10 +81,9 @@ func (f *RandomForest) FitCtx(ctx context.Context, x [][]float64, y []float64, w
 			}
 		}
 		tree := NewDecisionTree(TreeParams{
-			MaxDepth:      f.Params.MaxDepth,
-			MaxFeatures:   maxFeat,
-			MinLeafWeight: f.Params.MinLeafWeight,
-			Seed:          rng.Int63(),
+			MaxDepth:    f.Params.MaxDepth,
+			MaxFeatures: maxFeat,
+			Seed:        rng.Int63(),
 		})
 		if err := tree.fit(ctx, g, boot); err != nil {
 			f.trees = nil

@@ -11,7 +11,9 @@ type LogRegParams struct {
 	LearningRate float64
 	// Epochs of full-batch descent; 0 means 200.
 	Epochs int
-	// L2 regularization strength; 0 disables (negative is invalid).
+	// L2 regularization strength; 0 disables it. The value is not
+	// checked: a negative one is applied as given and pushes the
+	// weights away from zero.
 	L2 float64
 	// Seed drives nothing today (the solver is deterministic) but is
 	// kept for interface symmetry with the stochastic learners.

@@ -10,11 +10,8 @@ import (
 // on dataset rows (attribute codes) with Laplace smoothing. The remedy
 // algorithms use it as the ranker that scores borderline instances for
 // preferential sampling and data massaging (§IV-A), exactly as
-// Kamiran & Calders do.
+// Kamiran & Calders do. Smoothing adds one to every count.
 type NaiveBayes struct {
-	// Alpha is the Laplace smoothing constant; 0 means 1.
-	Alpha float64
-
 	schema *dataset.Schema
 	prior  [2]float64
 	// cond[c][a][v] = P(attr a = v | class c), smoothed.
@@ -26,10 +23,7 @@ func (nb *NaiveBayes) FitDataset(d *dataset.Dataset) error {
 	if d.Len() == 0 {
 		return fmt.Errorf("ml: empty training set")
 	}
-	alpha := nb.Alpha
-	if alpha <= 0 {
-		alpha = 1
-	}
+	const alpha = 1 // Laplace smoothing
 	nb.schema = d.Schema
 	na := len(d.Schema.Attrs)
 	var classW [2]float64

@@ -7,7 +7,8 @@ import (
 	"repro/internal/stats"
 )
 
-// NNParams configures the feed-forward neural network.
+// NNParams configures the feed-forward neural network. Training
+// applies no weight decay.
 type NNParams struct {
 	// Hidden is the hidden layer width; 0 means 16.
 	Hidden int
@@ -17,8 +18,6 @@ type NNParams struct {
 	LearningRate float64
 	// BatchSize for mini-batch SGD; 0 means 32.
 	BatchSize int
-	// L2 regularization strength.
-	L2 float64
 	// Seed drives weight initialization and shuffling.
 	Seed int64
 }
@@ -141,11 +140,11 @@ func (n *NeuralNetwork) FitCtx(ctx context.Context, x [][]float64, y []float64, 
 				for hh := 0; hh < h; hh++ {
 					gw2 := d2 * hidden[hh]
 					d1 := d2 * n.w2[hh]
-					n.w2[hh] -= step * (gw2 + n.Params.L2*n.w2[hh])
+					n.w2[hh] -= step * gw2
 					if hidden[hh] > 0 { // ReLU gate
 						w1 := n.w1[hh]
 						for _, c := range cols {
-							w1[c] -= step * (d1*xi[c] + n.Params.L2*w1[c])
+							w1[c] -= step * (d1 * xi[c])
 						}
 						n.b1[hh] -= step * d1
 					}

@@ -144,10 +144,7 @@ func oracleValues(x [][]float64) [][]float64 {
 func oracleForest(p ForestParams, x [][]float64, y, w []float64) []*DecisionTree {
 	rng := stats.NewRNG(p.Seed)
 	n := len(x)
-	maxFeat := p.MaxFeatures
-	if maxFeat <= 0 {
-		maxFeat = int(math.Ceil(math.Sqrt(float64(len(x[0])))))
-	}
+	maxFeat := int(math.Ceil(math.Sqrt(float64(len(x[0])))))
 	var sampler *stats.WeightedSampler
 	if w != nil {
 		sampler = stats.NewWeightedSampler(w)
@@ -166,8 +163,7 @@ func oracleForest(p ForestParams, x [][]float64, y, w []float64) []*DecisionTree
 			}
 			bx[i], by[i] = x[j], y[j]
 		}
-		tree := NewDecisionTree(TreeParams{MaxDepth: p.MaxDepth, MaxFeatures: maxFeat,
-			MinLeafWeight: p.MinLeafWeight, Seed: rng.Int63()})
+		tree := NewDecisionTree(TreeParams{MaxDepth: p.MaxDepth, MaxFeatures: maxFeat, Seed: rng.Int63()})
 		tree.root, tree.importance = oracleFit(tree.Params, bx, by, nil, vals)
 		trees[t] = tree
 	}
@@ -244,7 +240,8 @@ func fuzzPool(k int, r *rand.Rand) []float64 {
 // features draws from a small value set (signed zeros, adjacent
 // doubles, ordinal codes, over 256 distinct values, overflowing
 // midpoints, a constant); weights are absent, or random with zeros;
-// depth, leaf weight and per-split feature sampling vary.
+// depth varies, and so do the tree's leaf weight and per-split feature
+// sampling (the forest's trees sample ⌈√features⌉ at leaf weight 1).
 func FuzzTreeFit(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 2, 1, 44, 1, 5, 0, 2, 7})
@@ -299,9 +296,7 @@ func FuzzTreeFit(f *testing.F) {
 		want.root, want.importance = oracleFit(want.Params, x, y, w, oracleValues(x))
 		sameTree(t, "tree", dt, want)
 
-		fp := ForestParams{Trees: 3, MaxDepth: tp.MaxDepth, MaxFeatures: tp.MaxFeatures,
-			MinLeafWeight: tp.MinLeafWeight, Seed: seed}
-		rf := NewRandomForest(fp)
+		rf := NewRandomForest(ForestParams{Trees: 3, MaxDepth: tp.MaxDepth, Seed: seed})
 		if err := rf.FitCtx(context.Background(), x, y, w); err != nil {
 			t.Fatal(err)
 		}

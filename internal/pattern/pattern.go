@@ -36,7 +36,6 @@ type Space struct {
 	AttrIdx []int // schema attribute indices, in schema order
 	Cards   []int
 	Names   []string
-	Ordered []bool
 }
 
 // NewSpace builds the Space from the schema's protected attributes.
@@ -53,7 +52,6 @@ func NewSpace(s *dataset.Schema) (*Space, error) {
 		sp.AttrIdx = append(sp.AttrIdx, i)
 		sp.Cards = append(sp.Cards, s.Attrs[i].Cardinality())
 		sp.Names = append(sp.Names, s.Attrs[i].Name)
-		sp.Ordered = append(sp.Ordered, s.Attrs[i].Ordered)
 	}
 	if len(sp.AttrIdx) == 0 {
 		return nil, fmt.Errorf("pattern: schema has no protected attributes")

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"testing"
@@ -307,6 +308,54 @@ func TestNeighborsCountFormula(t *testing.T) {
 		}
 		seen[k] = true
 	})
+
+	// Brute force on random small spaces: for every region of every
+	// node, wildcards included, and every T in 1..d+1, Neighbors emits
+	// each same-mask region that differs from p in 1..min(T, level)
+	// slots exactly once, and nothing else.
+	r := stats.NewRNG(4)
+	for trial := 0; trial < 20; trial++ {
+		s := &dataset.Schema{Target: "y"}
+		for a, dim := 0, 1+r.Intn(4); a < dim; a++ {
+			vals := []string{"a", "b", "c", "d"}[:2+r.Intn(3)]
+			s.Attrs = append(s.Attrs, dataset.Attr{Name: fmt.Sprint("x", a), Values: vals, Protected: true})
+		}
+		sp, err := NewSpace(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mask := range sp.Masks() {
+			sp.EnumerateNode(mask, func(p Pattern) {
+				p = p.Clone()
+				for T := 1; T <= sp.Dim()+1; T++ {
+					want := map[uint64]bool{}
+					sp.EnumerateNode(mask, func(q Pattern) {
+						diff := 0
+						for i := range q {
+							if q[i] != p[i] {
+								diff++
+							}
+						}
+						if diff >= 1 && diff <= min(T, p.Level()) {
+							want[sp.Key(q)] = true
+						}
+					})
+					got := map[uint64]bool{}
+					sp.Neighbors(p, T, func(q Pattern) {
+						k := sp.Key(q)
+						if got[k] {
+							t.Fatalf("cards %v: %v at T=%d emitted %v twice", sp.Cards, p, T, q)
+						}
+						got[k] = true
+					})
+					if !maps.Equal(got, want) {
+						t.Fatalf("cards %v: %v at T=%d: %d neighbors, brute force %d",
+							sp.Cards, p, T, len(got), len(want))
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestCountsRatio(t *testing.T) {

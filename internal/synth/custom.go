@@ -13,23 +13,17 @@ import (
 // controlled representation bias — the input condition the paper's
 // method targets.
 
-// CustomConfig describes a synthetic dataset: a schema, per-attribute
-// sampling (optionally conditioned on earlier attributes), a logistic
-// label model, and injected region biases.
+// CustomConfig describes a synthetic dataset: a schema, independent
+// per-attribute marginals, a logistic label model, and injected region
+// biases.
 type CustomConfig struct {
 	// Schema defines the attributes; protected flags carry through.
 	Schema *dataset.Schema
 	// Rows is the number of instances to generate.
 	Rows int
 	// Marginals gives the unnormalized sampling weights per attribute
-	// (indexed like Schema.Attrs). Attributes listed in Conditionals
-	// may omit their marginal.
+	// (indexed like Schema.Attrs), one weight per value.
 	Marginals [][]float64
-	// Conditionals optionally overrides sampling of an attribute as a
-	// function of the partially generated row (attributes are sampled
-	// in schema order, so the function may read earlier attributes).
-	// A nil entry falls back to the marginal.
-	Conditionals []func(row []int32) []float64
 	// Intercept is the label model's base logit.
 	Intercept float64
 	// Weights maps attribute index -> per-value logit contribution.
@@ -50,8 +44,8 @@ type RegionBias struct {
 }
 
 // Custom generates a dataset from the configuration. It validates the
-// configuration eagerly so misconfigured generators fail fast rather
-// than panic mid-sample.
+// whole configuration before it samples a row, so a misconfigured
+// generator fails with an error rather than a panic mid-sample.
 func Custom(cfg CustomConfig, seed int64) (*dataset.Dataset, error) {
 	if cfg.Schema == nil || len(cfg.Schema.Attrs) == 0 {
 		return nil, fmt.Errorf("synth: missing schema")
@@ -63,12 +57,8 @@ func Custom(cfg CustomConfig, seed int64) (*dataset.Dataset, error) {
 	if len(cfg.Marginals) != na {
 		return nil, fmt.Errorf("synth: %d marginals for %d attributes", len(cfg.Marginals), na)
 	}
-	if cfg.Conditionals != nil && len(cfg.Conditionals) != na {
-		return nil, fmt.Errorf("synth: %d conditionals for %d attributes", len(cfg.Conditionals), na)
-	}
 	for a := 0; a < na; a++ {
-		hasCond := cfg.Conditionals != nil && cfg.Conditionals[a] != nil
-		if !hasCond && len(cfg.Marginals[a]) != cfg.Schema.Attrs[a].Cardinality() {
+		if len(cfg.Marginals[a]) != cfg.Schema.Attrs[a].Cardinality() {
 			return nil, fmt.Errorf("synth: attribute %s: %d weights for %d values",
 				cfg.Schema.Attrs[a].Name, len(cfg.Marginals[a]), cfg.Schema.Attrs[a].Cardinality())
 		}
@@ -112,15 +102,7 @@ func Custom(cfg CustomConfig, seed int64) (*dataset.Dataset, error) {
 	for i := 0; i < cfg.Rows; i++ {
 		row := make([]int32, na)
 		for a := 0; a < na; a++ {
-			w := cfg.Marginals[a]
-			if cfg.Conditionals != nil && cfg.Conditionals[a] != nil {
-				w = cfg.Conditionals[a](row)
-				if len(w) != cfg.Schema.Attrs[a].Cardinality() {
-					return nil, fmt.Errorf("synth: conditional for %s returned %d weights",
-						cfg.Schema.Attrs[a].Name, len(w))
-				}
-			}
-			row[a] = weightedPick(r, w)
+			row[a] = weightedPick(r, cfg.Marginals[a])
 		}
 		d.Append(row, bernoulli(r, model.prob(row))) //lint:allow errdiscard row built to schema width by this generator
 	}

@@ -62,35 +62,6 @@ func TestCustomGeneratesConfiguredBias(t *testing.T) {
 	}
 }
 
-func TestCustomConditionals(t *testing.T) {
-	cfg := CustomConfig{
-		Schema:    customSchema(),
-		Rows:      4000,
-		Marginals: [][]float64{{1, 1}, nil},
-		Conditionals: []func(row []int32) []float64{
-			nil,
-			func(row []int32) []float64 {
-				if row[0] == 0 {
-					return []float64{1, 0, 0} // g=a forces h=x
-				}
-				return []float64{0, 1, 1}
-			},
-		},
-	}
-	d, err := Custom(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range d.Rows {
-		if row[0] == 0 && row[1] != 0 {
-			t.Fatal("conditional sampling violated")
-		}
-		if row[0] == 1 && row[1] == 0 {
-			t.Fatal("conditional sampling violated (b side)")
-		}
-	}
-}
-
 func TestCustomLabelWeights(t *testing.T) {
 	cfg := CustomConfig{
 		Schema:    customSchema(),
@@ -149,9 +120,6 @@ func TestCustomValidation(t *testing.T) {
 		{"bias odd pairs", func(c *CustomConfig) {
 			c.Biases = []RegionBias{{Conditions: []string{"g"}, Offset: 1}}
 		}},
-		{"conditional count", func(c *CustomConfig) {
-			c.Conditionals = []func([]int32) []float64{nil}
-		}},
 	}
 	for _, tc := range cases {
 		cfg := base()
@@ -159,12 +127,6 @@ func TestCustomValidation(t *testing.T) {
 		if _, err := Custom(cfg, 1); err == nil {
 			t.Fatalf("%s: expected error", tc.name)
 		}
-	}
-	// Bad conditional return width errors at generation time.
-	cfg := base()
-	cfg.Conditionals = []func([]int32) []float64{nil, func([]int32) []float64 { return []float64{1} }}
-	if _, err := Custom(cfg, 1); err == nil {
-		t.Fatal("bad conditional width must error")
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the CI gate and its one step list: formatting, build,
-# vet, and every test under the race detector. `make check` runs this
-# script. To run one layer's slice of the race run, name its package
-# and tests, for example:
+# vet, every test under the race detector, then vet and tests of the
+# bench module. `make check` runs this script. To run one layer's
+# slice of the race run, name its package and tests, for example:
 #   go test -race -count=1 -run 'Durable|Crash|Recovery' ./internal/serve/
 set -eu
 cd "$(dirname "$0")/.."
@@ -32,5 +32,11 @@ echo "== go test -race -count=1 ./..."
 # inline with //lint:allow comments; `make lint` runs the same suite
 # with per-analyzer timings.
 go test -race -count=1 ./...
+
+echo "== (cd bench && go vet ./... && go test ./...)"
+# bench/ is its own module, so the root build and tests skip it; this
+# step fails when a change to the root packages breaks the benchmark
+# harness or moves its golden outputs (bench/testdata/golden.json).
+(cd bench && go vet ./... && go test ./...)
 
 echo "all checks passed"
