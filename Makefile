@@ -37,9 +37,12 @@ bench:
 fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadCSV -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/durable/ -fuzz FuzzJournalReplay -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/durable/ -fuzz FuzzSnapshotDecode -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/core/ -fuzz FuzzHierarchyCounts -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/core/ -fuzz FuzzIdentifyTraversal -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/pattern/ -fuzz FuzzGroupRows -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/pattern/ -fuzz FuzzKeyRoundTrip -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/pattern/ -fuzz FuzzDominanceConsistency -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/ml/ -fuzz FuzzTreeFit -fuzztime 30s -fuzzminimizetime 5s
 
 # check is the CI gate; its step list lives in scripts/check.sh.

@@ -329,7 +329,7 @@ func TestGerryFairReducesViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gf, err := TrainGerryFair(train, GerryFairParams{Iterations: 10, Seed: 1})
+	gf, err := TrainGerryFair(train, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestGerryFairReducesViolation(t *testing.T) {
 }
 
 func TestGerryFairEmptyTrain(t *testing.T) {
-	if _, err := TrainGerryFair(dataset.New(testSchema()), GerryFairParams{}); err == nil {
+	if _, err := TrainGerryFair(dataset.New(testSchema()), 10); err == nil {
 		t.Fatal("empty training set must error")
 	}
 }
@@ -399,39 +399,5 @@ func TestBaselinesOnSyntheticAdultSubset(t *testing.T) {
 		if err := out.Validate(); err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
-	}
-}
-
-func TestGerryFairFNRStatistic(t *testing.T) {
-	// Build data with an FNR-skewed subgroup: positives of (race=A)
-	// are systematically harder, so an FNR auditor has a target.
-	d := dataset.New(testSchema())
-	r := stats.NewRNG(21)
-	for i := 0; i < 3000; i++ {
-		row := []int32{int32(r.Intn(2)), int32(r.Intn(2)), int32(r.Intn(3))}
-		rate := 0.5
-		if row[0] == 0 {
-			rate = 0.25 // fewer positives among race=A: the learner under-predicts them
-		}
-		var label int8
-		if r.Float64() < rate {
-			label = 1
-		}
-		d.Append(row, label)
-	}
-	train, test := d.StratifiedSplit(0.7, 22)
-	gf, err := TrainGerryFair(train, GerryFairParams{Iterations: 8, Statistic: fairness.FNR, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gf.History) == 0 {
-		t.Fatal("no auditing rounds recorded")
-	}
-	if last := gf.History[len(gf.History)-1]; last > gf.History[0] {
-		t.Fatalf("FNR violation rose during training: %v -> %v", gf.History[0], last)
-	}
-	preds := gf.Predict(test)
-	if len(preds) != test.Len() {
-		t.Fatal("prediction length")
 	}
 }

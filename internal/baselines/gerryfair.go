@@ -9,58 +9,6 @@ import (
 	"repro/internal/ml"
 )
 
-// GerryFairParams configures the in-processing baseline of Kearns et
-// al. [21]: fictitious play between a Learner (cost-sensitive
-// classification) and an Auditor (most-violated subgroup detection) for
-// false-positive subgroup fairness.
-//
-// Substitution note (DESIGN.md §3): the released GerryFair audits over
-// linear threshold functions via a regression oracle; this
-// implementation keeps the same learner/auditor loop but the auditor
-// searches the complete space of conjunctive protected-attribute
-// subgroups — the hypothesis class every other method in the paper's
-// comparison uses. The two behaviours that matter for Table III are
-// preserved: the fairness violation shrinks over rounds, and training
-// cost is far above any pre-processing method.
-type GerryFairParams struct {
-	// Iterations of the learner/auditor loop; 0 means 25.
-	Iterations int
-	// Eta is the multiplicative weight bump applied to the negatives of
-	// the most violated subgroup; 0 means 0.5.
-	Eta float64
-	// MinSupport is the auditor's minimum subgroup support; 0 means
-	// 0.01.
-	MinSupport float64
-	// Tolerance stops the loop once the training violation falls below
-	// it; 0 means 0.001.
-	Tolerance float64
-	// Statistic selects the audited measure: fairness.FPR (the
-	// original's false-positive auditing, the default) or fairness.FNR
-	// for the equalized-odds direction.
-	Statistic fairness.Statistic
-	// Seed drives the learner.
-	Seed int64
-}
-
-func (p GerryFairParams) withDefaults() GerryFairParams {
-	if p.Iterations <= 0 {
-		p.Iterations = 25
-	}
-	if p.Eta <= 0 {
-		p.Eta = 0.5
-	}
-	if p.MinSupport <= 0 {
-		p.MinSupport = 0.01
-	}
-	if p.Tolerance <= 0 {
-		p.Tolerance = 0.001
-	}
-	if p.Statistic == "" {
-		p.Statistic = fairness.FPR
-	}
-	return p
-}
-
 // GerryFairModel is the trained mixture: the uniform average over the
 // learner's best responses, as in fictitious play.
 type GerryFairModel struct {
@@ -70,9 +18,31 @@ type GerryFairModel struct {
 	History []float64
 }
 
-// TrainGerryFair runs the learner/auditor loop on the training set.
-func TrainGerryFair(train *dataset.Dataset, params GerryFairParams) (*GerryFairModel, error) {
-	p := params.withDefaults()
+// GerryFair's auditor constants: each round bumps the weight of the
+// most violated subgroup's negatives by 1+gerryEta, audits subgroups
+// of support at least gerryMinSupport, and the loop stops once the
+// training violation falls below gerryTolerance.
+const (
+	gerryEta        = 0.5
+	gerryMinSupport = 0.01
+	gerryTolerance  = 0.001
+)
+
+// TrainGerryFair runs iterations rounds of the learner/auditor loop of
+// Kearns et al. [21] on the training set: fictitious play between a
+// Learner (cost-sensitive classification) and an Auditor
+// (most-violated subgroup detection) for false-positive subgroup
+// fairness.
+//
+// Substitution note (DESIGN.md §3): the released GerryFair audits over
+// linear threshold functions via a regression oracle; this
+// implementation keeps the same learner/auditor loop but the auditor
+// searches the complete space of conjunctive protected-attribute
+// subgroups — the hypothesis class every other method in the paper's
+// comparison uses. The two behaviours that matter for Table III are
+// preserved: the fairness violation shrinks over rounds, and training
+// cost is far above any pre-processing method.
+func TrainGerryFair(train *dataset.Dataset, iterations int) (*GerryFairModel, error) {
 	if train.Len() == 0 {
 		return nil, fmt.Errorf("baselines: empty training set")
 	}
@@ -84,10 +54,10 @@ func TrainGerryFair(train *dataset.Dataset, params GerryFairParams) (*GerryFairM
 	// of re-evaluating the whole ensemble.
 	probSum := make([]float64, train.Len())
 	preds := make([]int, train.Len())
-	for it := 0; it < p.Iterations; it++ {
+	for it := 0; it < iterations; it++ {
 		// Learner best-responds to the current costs (weights) with the
 		// linear learner, as in the original's cost-sensitive oracle.
-		clf := ml.NewLogisticRegression(ml.LogRegParams{Epochs: 80, LearningRate: 0.8, L2: 1e-4, Seed: p.Seed + int64(it)})
+		clf := ml.NewLogisticRegression(ml.LogRegParams{Epochs: 80, LearningRate: 0.8, L2: 1e-4})
 		m, err := ml.Train(cur, clf)
 		if err != nil {
 			return nil, err
@@ -106,25 +76,20 @@ func TrainGerryFair(train *dataset.Dataset, params GerryFairParams) (*GerryFairM
 
 		// Auditor: find the most FP-violated subgroup under the current
 		// mixture's training predictions.
-		rep, err := divexplorer.Explore(train, preds, p.Statistic, divexplorer.Options{MinSupport: p.MinSupport})
+		rep, err := divexplorer.Explore(train, preds, fairness.FPR, divexplorer.Options{MinSupport: gerryMinSupport})
 		if err != nil {
 			return nil, err
 		}
 		worst, violation := mostViolated(rep)
 		model.History = append(model.History, violation)
-		if violation < p.Tolerance {
+		if violation < gerryTolerance {
 			break
 		}
-		// Penalize the violated subgroup's conditioning class: for FPR
-		// auditing its negatives become more expensive to misclassify,
-		// for FNR its positives.
-		var penalized int8
-		if p.Statistic == fairness.FNR {
-			penalized = 1
-		}
+		// Penalize the violated subgroup's negatives: they become more
+		// expensive to misclassify.
 		for i := range train.Rows {
-			if train.Labels[i] == penalized && rep.Space.MatchRow(worst.Pattern, train.Rows[i]) {
-				cur.Weights[i] *= 1 + p.Eta
+			if train.Labels[i] == 0 && rep.Space.MatchRow(worst.Pattern, train.Rows[i]) {
+				cur.Weights[i] *= 1 + gerryEta
 			}
 		}
 	}

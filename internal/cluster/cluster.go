@@ -91,16 +91,12 @@ type Config struct {
 	// (default 1; negative disables stealing).
 	StealMax int
 	// StealTicks is how many leader ticks a stolen job may stay
-	// unreported before it is re-queued (default 10*LeaseTicks).
+	// unreported before it is re-queued (default 10*LeaseTicks). A
+	// test seam: TestStolenJobRequeuedAfterStealerSilence sets 2.
 	StealTicks int
-	// BatchMax bounds the records in one replication send (default
-	// 256); a further-behind follower catches up over several ticks.
-	BatchMax int
-	// EventCap bounds the operational event log behind /cluster/events
-	// (default 256 retained entries; the ring overwrites the oldest).
-	EventCap int
 	// Retry is the inter-node client policy (zero-value fields take
-	// serve.RetryPolicy's defaults).
+	// serve.RetryPolicy's defaults). A test seam: the chaos tests
+	// (netFleet) set fast retries with the breaker off.
 	Retry serve.RetryPolicy
 	// HTTP overrides the transport for inter-node calls and follower
 	// forwarding (tests inject httptest clients); nil means the
@@ -119,12 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StealTicks == 0 {
 		c.StealTicks = 10 * c.LeaseTicks
-	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 256
-	}
-	if c.EventCap == 0 {
-		c.EventCap = 256
 	}
 	return c
 }
@@ -187,6 +177,10 @@ type Node struct {
 	wg      sync.WaitGroup
 }
 
+// eventCap is how many entries the /cluster/events ring retains; it
+// overwrites the oldest.
+const eventCap = 256
+
 // New wires srv into the fleet. The server must have a durable store
 // (cluster nodes are built with serve.NewFollower). New attaches the
 // cluster view, the dataset fetch-on-miss hook, and the forwarding
@@ -211,7 +205,7 @@ func New(ctx context.Context, cfg Config, srv *serve.Server) (*Node, error) {
 		journal: srv.Store().Journal(),
 		metrics: srv.Metrics(),
 		logger:  cfg.Logger.Scope("cluster"),
-		events:  obs.NewEventLog(cfg.EventCap),
+		events:  obs.NewEventLog(eventCap),
 		role:    RoleFollower,
 		peers:   make(map[string]*peerState, len(cfg.Peers)),
 		stolen:  make(map[string]int),

@@ -55,10 +55,14 @@ type snapshotRequest struct {
 	Raw    []byte `json:"raw"`
 }
 
+// batchMax bounds the records in one replication send; a
+// further-behind follower catches up over several ticks.
+const batchMax = 256
+
 // replicateAll streams the journal to every follower, one send per
 // peer per tick. A peer whose position is unknown (fresh leadership)
 // gets a pure heartbeat and reports its HaveSeq back; from then on it
-// receives the records it is missing, BatchMax at a time, read
+// receives the records it is missing, batchMax at a time, read
 // straight from the journal file. The same send is the lease renewal:
 // hearing it is what stops a follower's promotion clock.
 func (n *Node) replicateAll(ctx context.Context) {
@@ -90,7 +94,7 @@ func (n *Node) replicateAll(ctx context.Context) {
 		}
 		req := replicateRequest{Term: term, Leader: n.cfg.ID, LeaderSeq: seq, FromSeq: seq, TermStarts: starts}
 		if t.known && t.acked < seq {
-			recs, err := durable.ReadJournalRange(ctx, n.journal.Path(), t.acked, uint64(n.cfg.BatchMax))
+			recs, err := durable.ReadJournalRange(ctx, n.journal.Path(), t.acked, batchMax)
 			if errors.Is(err, durable.ErrCompacted) {
 				// A compaction raced this tick past the peer's position.
 				n.sendSnapshot(ctx, term, t.p)

@@ -134,7 +134,11 @@ func (c Config) minSize() int {
 	return c.MinSize
 }
 
-func (c Config) validate() error {
+// Validate checks the identification parameters: τ_c must be
+// non-negative, T at least 1, and every Resume snapshot name a level
+// of at least 1. Every identification entry point and the remedy call
+// it before any work.
+func (c Config) Validate() error {
 	if c.TauC < 0 {
 		return fmt.Errorf("core: negative imbalance threshold %v", c.TauC)
 	}
@@ -340,18 +344,12 @@ func (h *Hierarchy) Node(mask uint32) pattern.Table {
 // Totals returns the level-0 counts of the dataset.
 func (h *Hierarchy) Totals() pattern.Counts { return h.totals }
 
-// Invalidate drops all memoized counts; the next count read recounts
-// the lattice. The remedy loop calls it after mutating the dataset.
-func (h *Hierarchy) Invalidate() {
-	h.lat = nil
-	h.totals = pattern.Totals(h.Data)
-}
-
-// SetData swaps the underlying dataset (after a remedy step) and
-// invalidates the caches.
+// SetData swaps the underlying dataset (after a remedy step) and drops
+// all memoized counts; the next count read recounts the lattice.
 func (h *Hierarchy) SetData(d *dataset.Dataset) {
 	h.Data = d
-	h.Invalidate()
+	h.lat = nil
+	h.totals = pattern.Totals(d)
 }
 
 // AddRow incrementally credits one appended instance to the counts

@@ -112,7 +112,7 @@ func IdentifyNaiveCtx(ctx context.Context, d *dataset.Dataset, cfg Config) (*Res
 // hierarchy, reusing its memoized counts. On cancellation it returns
 // the regions identified so far together with ctx.Err().
 func (h *Hierarchy) IdentifyNaiveCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ctx, sp := obs.StartSpan(ctx, "core.identify.naive")
@@ -191,7 +191,7 @@ func IdentifyOptimizedCtx(ctx context.Context, d *dataset.Dataset, cfg Config) (
 // and a scanned level ends at a barrier where its checkpoint is cut.
 // The Result and the checkpoints are the same at every Workers count.
 func (h *Hierarchy) IdentifyOptimizedCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ctx, sp := obs.StartSpan(ctx, "core.identify.optimized")
@@ -441,7 +441,7 @@ func (w *nodeWalk) reset(sp *pattern.Space, lat *pattern.Lattice, mask uint32) i
 // the evolving dataset. On cancellation the regions found so far
 // return alongside ctx.Err().
 func (h *Hierarchy) BiasedRegionsInNodeCtx(ctx context.Context, mask uint32, cfg Config) ([]Region, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ctx, sp := obs.StartSpan(ctx, "core.identify.node")

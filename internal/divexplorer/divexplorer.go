@@ -33,7 +33,7 @@ type Subgroup struct {
 	Value      float64
 	Divergence float64
 	// T and P report Welch's t-test of the subgroup's indicator sample
-	// against its complement; Significant applies the auditor's α.
+	// against its complement; Significant is P < 0.05.
 	T, P        float64
 	Significant bool
 }
@@ -43,7 +43,6 @@ type Subgroup struct {
 type Report struct {
 	Space   *pattern.Space
 	Stat    fairness.Statistic
-	Alpha   float64
 	Overall float64 // γ_d
 	// OverallConf is the dataset-level confusion matrix.
 	OverallConf ml.Confusion
@@ -57,8 +56,6 @@ type Options struct {
 	// MinSupport drops subgroups below this support fraction; 0 means
 	// 0.01.
 	MinSupport float64
-	// Alpha is the significance level of the t-test; 0 means 0.05.
-	Alpha float64
 	// MaxLevel caps the pattern level (0 = no cap): level 1 audits
 	// single attributes only, matching independent group fairness.
 	MaxLevel int
@@ -68,11 +65,11 @@ func (o Options) withDefaults() Options {
 	if o.MinSupport <= 0 {
 		o.MinSupport = 0.01
 	}
-	if o.Alpha <= 0 {
-		o.Alpha = 0.05
-	}
 	return o
 }
+
+// alpha is the significance level of the auditor's t-test.
+const alpha = 0.05
 
 // confClasses returns each row's confusion class 2·y + ŷ, so a
 // lattice counted with them holds every region's confusion matrix.
@@ -135,7 +132,6 @@ func ExploreCtx(ctx context.Context, d *dataset.Dataset, preds []int, stat fairn
 	rep := &Report{
 		Space:       sp,
 		Stat:        stat,
-		Alpha:       opts.Alpha,
 		Overall:     stat.Of(overall),
 		OverallConf: overall,
 	}
@@ -176,7 +172,7 @@ func ExploreCtx(ctx context.Context, d *dataset.Dataset, preds []int, stat fairn
 			stats.BernoulliSummary(restN, restK),
 		); err == nil {
 			sg.T, sg.P = res.T, res.P
-			sg.Significant = res.P < opts.Alpha
+			sg.Significant = res.P < alpha
 		}
 		rep.Subgroups = append(rep.Subgroups, sg)
 		return true

@@ -103,7 +103,7 @@ func Table3(seed int64, quick bool) (*Table3Result, error) {
 	if quick {
 		iters = 5
 	}
-	gf, err := baselines.TrainGerryFair(train, baselines.GerryFairParams{Iterations: iters, Seed: seed})
+	gf, err := baselines.TrainGerryFair(train, iters)
 	if err != nil {
 		return nil, err
 	}

@@ -60,13 +60,9 @@ type Config struct {
 	// request verbatim after the storm completes and verifies the server
 	// answers it from the response cache with byte-identical results.
 	RepeatIdentical bool
-	// PollInterval is the job-completion polling cadence (default 25ms).
+	// PollInterval is the job-completion polling cadence (default
+	// 25ms). A test seam: the load tests set 5ms.
 	PollInterval time.Duration
-	// RetryAttempts caps each client's attempts per request (default 4).
-	RetryAttempts int
-	// Metrics receives the per-tenant latency histograms and the
-	// client-side retry counters (nil: a private registry is used).
-	Metrics *obs.Registry
 	// Logger, when non-nil, receives progress lines.
 	Logger *obs.Logger
 }
@@ -81,14 +77,8 @@ func (c Config) withDefaults() Config {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 25 * time.Millisecond
 	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = 4
-	}
 	if len(c.Tenants) == 0 {
 		c.Tenants = []Tenant{{Name: serve.DefaultTenant, Weight: 1, Clients: 4, Jobs: 4}}
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
 	}
 	return c
 }
@@ -272,6 +262,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
+	// reg holds this run's per-tenant latency histograms and the
+	// clients' retry counters, which the Observed section reads.
+	reg := obs.NewRegistry()
 	start := time.Now() //lint:allow determinism wall-clock load measurement is the Observed half's job
 	results := make([][]result, len(plans))
 	var wg sync.WaitGroup
@@ -279,7 +272,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(pi int, p *clientPlan) {
 			defer wg.Done()
-			results[pi] = runClient(ctx, cfg, p)
+			results[pi] = runClient(ctx, cfg, reg, p)
 		}(pi, p)
 	}
 	wg.Wait()
@@ -291,29 +284,30 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	repeatHit := false
 	if cfg.RepeatIdentical && len(plans) > 0 && len(results[0]) > 0 &&
 		results[0][0].State == string(serve.StateDone) {
-		repeatHit, err = probeCache(ctx, cfg, plans[0], results[0][0])
+		repeatHit, err = probeCache(ctx, cfg, reg, plans[0], results[0][0])
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	return assemble(cfg, info.ID, results, durMS, repeatHit), nil
+	return assemble(cfg, reg, info.ID, results, durMS, repeatHit), nil
 }
 
 // runClient plays one pre-drawn schedule: submit every job open-loop,
-// then wait each one out and fetch its result hash.
-func runClient(ctx context.Context, cfg Config, p *clientPlan) []result {
+// then wait each one out and fetch its result hash. reg receives the
+// client's retry counters and the latency histograms.
+func runClient(ctx context.Context, cfg Config, reg *obs.Registry, p *clientPlan) []result {
 	cl := serve.NewRetryingClient(cfg.BaseURL, serve.RetryPolicy{
 		Seed:        p.seed,
-		MaxAttempts: cfg.RetryAttempts,
+		MaxAttempts: 4,
 		BaseDelay:   5 * time.Millisecond,
 		MaxDelay:    250 * time.Millisecond,
 	})
 	cl.Tenant = p.tenant.Name
-	cl.Obs = cfg.Metrics
-	submitHist := cfg.Metrics.Histogram(
+	cl.Obs = reg
+	submitHist := reg.Histogram(
 		obs.WithLabel("load.submit_ms", "tenant", p.tenant.Name), obs.DefaultDurationBucketsMS)
-	e2eHist := cfg.Metrics.Histogram(
+	e2eHist := reg.Histogram(
 		obs.WithLabel("load.e2e_ms", "tenant", p.tenant.Name), obs.DefaultDurationBucketsMS)
 
 	out := make([]result, len(p.reqs))
@@ -366,10 +360,10 @@ func runClient(ctx context.Context, cfg Config, p *clientPlan) []result {
 // probeCache resubmits the first client's first request verbatim and
 // checks the server answers it from the response cache: immediately
 // done, never started, byte-identical result.
-func probeCache(ctx context.Context, cfg Config, p *clientPlan, orig result) (bool, error) {
+func probeCache(ctx context.Context, cfg Config, reg *obs.Registry, p *clientPlan, orig result) (bool, error) {
 	cl := serve.NewRetryingClient(cfg.BaseURL, serve.RetryPolicy{Seed: p.seed + 1})
 	cl.Tenant = p.tenant.Name
-	cl.Obs = cfg.Metrics
+	cl.Obs = reg
 	st, err := cl.SubmitJob(ctx, p.reqs[0])
 	if err != nil {
 		return false, fmt.Errorf("load: cache probe submit: %w", err)
@@ -386,12 +380,12 @@ func probeCache(ctx context.Context, cfg Config, p *clientPlan, orig result) (bo
 	if got := fmt.Sprintf("%x", sum[:8]); got != orig.ResultSHA {
 		return false, fmt.Errorf("load: cache probe replay differs: %s vs %s", got, orig.ResultSHA)
 	}
-	cfg.Metrics.Counter("load.cache_repeat_hit").Inc()
+	reg.Counter("load.cache_repeat_hit").Inc()
 	return true, nil
 }
 
 // assemble folds the per-client results into the two-part report.
-func assemble(cfg Config, datasetID string, results [][]result, durMS float64, repeatHit bool) *Report {
+func assemble(cfg Config, reg *obs.Registry, datasetID string, results [][]result, durMS float64, repeatHit bool) *Report {
 	var all []result
 	for _, rs := range results {
 		all = append(all, rs...)
@@ -457,7 +451,7 @@ func assemble(cfg Config, datasetID string, results [][]result, durMS float64, r
 		}
 	}
 
-	snap := cfg.Metrics.Snapshot()
+	snap := reg.Snapshot()
 	for name, ts := range byTenant {
 		sh := snap.Histograms[obs.WithLabel("load.submit_ms", "tenant", name)]
 		eh := snap.Histograms[obs.WithLabel("load.e2e_ms", "tenant", name)]

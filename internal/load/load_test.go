@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -89,7 +88,6 @@ func runOnce(t *testing.T, seed int64) (*Report, []byte, *serve.Server) {
 		Tenants:         mix,
 		RepeatIdentical: true,
 		PollInterval:    5 * time.Millisecond,
-		Metrics:         obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatalf("load.Run: %v", err)

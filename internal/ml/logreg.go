@@ -15,9 +15,6 @@ type LogRegParams struct {
 	// checked: a negative one is applied as given and pushes the
 	// weights away from zero.
 	L2 float64
-	// Seed drives nothing today (the solver is deterministic) but is
-	// kept for interface symmetry with the stochastic learners.
-	Seed int64
 }
 
 func (p LogRegParams) withDefaults() LogRegParams {

@@ -86,7 +86,7 @@ func NewClassifier(kind ModelKind, seed int64) (Classifier, error) {
 	case RF:
 		return NewRandomForest(ForestParams{Trees: 30, MaxDepth: 10, Seed: seed}), nil
 	case LG:
-		return NewLogisticRegression(LogRegParams{Epochs: 150, LearningRate: 0.8, L2: 1e-4, Seed: seed}), nil
+		return NewLogisticRegression(LogRegParams{Epochs: 150, LearningRate: 0.8, L2: 1e-4}), nil
 	case NN:
 		return NewNeuralNetwork(NNParams{Hidden: 16, Epochs: 8, LearningRate: 0.1, Seed: seed}), nil
 	}

@@ -16,8 +16,6 @@ type NNParams struct {
 	Epochs int
 	// LearningRate for SGD; 0 means 0.05.
 	LearningRate float64
-	// BatchSize for mini-batch SGD; 0 means 32.
-	BatchSize int
 	// Seed drives weight initialization and shuffling.
 	Seed int64
 }
@@ -32,11 +30,11 @@ func (p NNParams) withDefaults() NNParams {
 	if p.LearningRate <= 0 {
 		p.LearningRate = 0.05
 	}
-	if p.BatchSize <= 0 {
-		p.BatchSize = 32
-	}
 	return p
 }
+
+// nnBatchSize is the mini-batch size of the network's SGD.
+const nnBatchSize = 32
 
 // NeuralNetwork is a one-hidden-layer perceptron (ReLU hidden units,
 // sigmoid output) trained with weighted mini-batch SGD on cross-entropy
@@ -102,8 +100,8 @@ func (n *NeuralNetwork) FitCtx(ctx context.Context, x [][]float64, y []float64, 
 			return err
 		}
 		stats.Shuffle(rng, idx)
-		for start := 0; start < len(idx); start += n.Params.BatchSize {
-			end := start + n.Params.BatchSize
+		for start := 0; start < len(idx); start += nnBatchSize {
+			end := start + nnBatchSize
 			if end > len(idx) {
 				end = len(idx)
 			}

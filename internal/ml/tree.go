@@ -16,9 +16,6 @@ type TreeParams struct {
 	// MinLeafWeight is the minimum total sample weight in a leaf
 	// (default 1).
 	MinLeafWeight float64
-	// MinSplitWeight is the minimum total sample weight required to
-	// attempt a split (default 2).
-	MinSplitWeight float64
 	// MaxFeatures, when positive, samples that many candidate features
 	// per split (used by the random forest). 0 considers all features.
 	MaxFeatures int
@@ -33,11 +30,12 @@ func (p TreeParams) withDefaults() TreeParams {
 	if p.MinLeafWeight <= 0 {
 		p.MinLeafWeight = 1
 	}
-	if p.MinSplitWeight <= 0 {
-		p.MinSplitWeight = 2
-	}
 	return p
 }
+
+// minSplitWeight is the minimum total sample weight a node needs for
+// a split to be attempted.
+const minSplitWeight = 2
 
 // DecisionTree is a weighted binary CART classifier using Gini
 // impurity and threshold splits. Categorical inputs arrive one-hot or
@@ -237,7 +235,7 @@ func (s *treeFit[C]) build(ctx context.Context, idx []int, depth int) *treeNode 
 	if wt > 0 {
 		n.prob = wp / wt
 	}
-	if depth >= t.Params.MaxDepth || wt < t.Params.MinSplitWeight ||
+	if depth >= t.Params.MaxDepth || wt < minSplitWeight ||
 		n.prob == 0 || n.prob == 1 || ctx.Err() != nil {
 		return n
 	}

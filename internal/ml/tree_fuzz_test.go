@@ -47,7 +47,7 @@ func (o *oracleTree) build(idx []int, depth int) *treeNode {
 	if wt > 0 {
 		n.prob = wp / wt
 	}
-	if depth >= o.p.MaxDepth || wt < o.p.MinSplitWeight || n.prob == 0 || n.prob == 1 {
+	if depth >= o.p.MaxDepth || wt < minSplitWeight || n.prob == 0 || n.prob == 1 {
 		return n
 	}
 	feat, thresh, gain, ok := o.bestSplit(idx, wt, wp)

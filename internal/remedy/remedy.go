@@ -219,15 +219,14 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 	default:
 		return nil, nil, fmt.Errorf("remedy: unknown technique %q", opts.Technique)
 	}
+	if err := opts.Identify.Validate(); err != nil {
+		return nil, nil, err
+	}
 	cur := d.Clone()
 	h, err := core.NewHierarchy(cur)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := checkConfig(opts.Identify); err != nil {
-		return nil, nil, err
-	}
-	rng := stats.NewRNG(opts.Seed)
 	rep := &Report{Technique: opts.Technique}
 
 	ctx, sp := obs.StartSpan(ctx, "remedy.apply")
@@ -242,12 +241,13 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 		sp.SetInt("removed", int64(rep.Removed))
 		sp.SetInt("flipped", int64(rep.Flipped))
 	}()
-	counters := newRemedyCounters(ctx)
+	ru := &run{cur: cur, space: h.Space, opts: opts, rng: stats.NewRNG(opts.Seed),
+		counters: newRemedyCounters(ctx), rep: rep}
 	lg := obs.LoggerFrom(ctx).Scope("remedy")
 
 	needRanker := opts.Technique == PreferentialSampling || opts.Technique == Massaging
 	if opts.OneShot {
-		return applyOneShot(ctx, cur, h, opts, rng, rep, needRanker)
+		return ru.oneShot(ctx, h, needRanker)
 	}
 	var groups pattern.Groups // one set of buffers, regrouped per node
 	for _, mask := range h.MasksForScope(opts.Identify.Scope) {
@@ -279,11 +279,9 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 		// later regions' row indices shift and read other rows' scores.
 		var scores []float64
 		if needRanker {
-			var nb ml.NaiveBayes
-			if err := nb.FitDataset(cur); err != nil {
+			if scores, err = rankerScores(cur); err != nil {
 				return nil, rep, err
 			}
-			scores = nb.ProbaDataset(cur)
 		}
 		// A node's regions are disjoint, so one grouping of the rows by
 		// the node's key finds all of them. Appends land in the region
@@ -292,7 +290,6 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 		// node is regrouped before its next region.
 		stale := true
 		changed := false
-		var muts []mutation
 		for _, r := range regions {
 			if err := ctx.Err(); err != nil {
 				return nil, rep, err
@@ -301,31 +298,16 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 				groups.Regroup(h.Space, cur, mask)
 				stale = false
 			}
-			rows := groups.Rows(r.Pattern)
-			// Each region gets its own action span with the outcome
-			// stamped on it; the pattern string is only rendered when a
-			// tracer is actually recording.
-			_, rsp := obs.StartSpan(ctx, "remedy.region")
-			if rsp != nil {
-				rsp.SetStr("pattern", h.Space.String(r.Pattern))
+			act, err := ru.region(ctx, r, groups.Rows(r.Pattern), scores)
+			if err != nil {
+				return nil, rep, err
 			}
-			muts = muts[:0]
-			act := applyRegion(cur, r, rows, opts.Technique, scores, &muts, rng)
-			counters.record(rsp, act)
-			rsp.End()
-			rep.Actions = append(rep.Actions, act)
-			rep.Added += act.Added
-			rep.Removed += act.Removed
-			rep.Flipped += act.Flipped
 			if !opts.Recount {
 				// Incremental count maintenance: fold each physical
 				// change into the hierarchy's cached tables so the next
 				// node's identification (Algorithm 2's re-identification
 				// per node) sees the updated scores without recounting.
-				applyMutations(h, muts)
-			}
-			if opts.MaxAdded > 0 && rep.Added > opts.MaxAdded {
-				return nil, rep, ErrResourceLimit
+				applyMutations(h, ru.muts)
 			}
 			if act.Removed > 0 {
 				stale = true
@@ -343,6 +325,61 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 	return cur, rep, nil
 }
 
+// rowSampler is the randomness the techniques draw on: uniform picks
+// of instances to duplicate and shuffles of those to remove.
+type rowSampler interface {
+	Intn(int) int
+	Shuffle(int, func(int, int))
+}
+
+// run is the state one remedy run threads through its regions.
+type run struct {
+	cur      *dataset.Dataset
+	space    *pattern.Space
+	opts     Options
+	rng      rowSampler
+	counters remedyCounters
+	rep      *Report
+	// muts holds the physical changes of the last region step.
+	muts []mutation
+}
+
+// region remedies one biased region of ru.cur, whose instances are
+// rows, under its own span: it applies the technique, folds the action
+// into the counters and the report, and records the dataset changes in
+// ru.muts. It returns ErrResourceLimit once the run has added more
+// than MaxAdded instances.
+func (ru *run) region(ctx context.Context, r core.Region, rows []int32, scores []float64) (Action, error) {
+	// The pattern string is only rendered when a tracer is recording.
+	_, rsp := obs.StartSpan(ctx, "remedy.region")
+	if rsp != nil {
+		rsp.SetStr("pattern", ru.space.String(r.Pattern))
+	}
+	ru.muts = ru.muts[:0]
+	act := applyRegion(ru.cur, r, rows, ru.opts.Technique, scores, &ru.muts, ru.rng)
+	ru.counters.record(rsp, act)
+	rsp.End()
+	rep := ru.rep
+	rep.Actions = append(rep.Actions, act)
+	rep.Added += act.Added
+	rep.Removed += act.Removed
+	rep.Flipped += act.Flipped
+	if ru.opts.MaxAdded > 0 && rep.Added > ru.opts.MaxAdded {
+		return act, ErrResourceLimit
+	}
+	return act, nil
+}
+
+// rankerScores fits the Naïve Bayes ranker on cur and returns its
+// P(y=1|x) per instance.
+func rankerScores(cur *dataset.Dataset) ([]float64, error) {
+	var nb ml.NaiveBayes
+	if err := nb.FitDataset(cur); err != nil {
+		return nil, err
+	}
+	return nb.ProbaDataset(cur), nil
+}
+
 // applyMutations folds recorded dataset changes into the hierarchy's
 // cached count tables.
 func applyMutations(h *core.Hierarchy, muts []mutation) {
@@ -358,26 +395,21 @@ func applyMutations(h *core.Hierarchy, muts []mutation) {
 	}
 }
 
-// applyOneShot is the OneShot ablation: one identification pass over
-// the whole hierarchy, then all updates from that snapshot with no
+// oneShot is the OneShot ablation: one identification pass over the
+// whole hierarchy, then all updates from that snapshot with no
 // recounting between nodes.
-func applyOneShot(ctx context.Context, cur *dataset.Dataset, h *core.Hierarchy, opts Options, rng interface {
-	Intn(int) int
-	Shuffle(int, func(int, int))
-}, rep *Report, needRanker bool) (*dataset.Dataset, *Report, error) {
-	res, err := h.IdentifyOptimizedCtx(ctx, opts.Identify)
+func (ru *run) oneShot(ctx context.Context, h *core.Hierarchy, needRanker bool) (*dataset.Dataset, *Report, error) {
+	cur, rep := ru.cur, ru.rep
+	res, err := h.IdentifyOptimizedCtx(ctx, ru.opts.Identify)
 	if err != nil {
 		return nil, rep, err
 	}
 	rep.BiasedRegions = len(res.Regions)
-	counters := newRemedyCounters(ctx)
 	var scores []float64
 	if needRanker && len(res.Regions) > 0 {
-		var nb ml.NaiveBayes
-		if err := nb.FitDataset(cur); err != nil {
+		if scores, err = rankerScores(cur); err != nil {
 			return nil, rep, err
 		}
-		scores = nb.ProbaDataset(cur)
 	}
 	// One-shot regions span different nodes and may overlap (a region
 	// can dominate another), so an append or a removal can move rows of
@@ -395,11 +427,9 @@ func applyOneShot(ctx context.Context, cur *dataset.Dataset, h *core.Hierarchy, 
 		// *indices* would be a bug rather than an ablation. Rebuild the
 		// score vector cheaply when lengths diverge.
 		if needRanker && len(scores) != cur.Len() {
-			var nb ml.NaiveBayes
-			if err := nb.FitDataset(cur); err != nil {
+			if scores, err = rankerScores(cur); err != nil {
 				return nil, rep, err
 			}
-			scores = nb.ProbaDataset(cur)
 		}
 		mask := r.Pattern.Mask()
 		g := groups[mask]
@@ -407,34 +437,15 @@ func applyOneShot(ctx context.Context, cur *dataset.Dataset, h *core.Hierarchy, 
 			g = h.Space.GroupRows(cur, mask)
 			groups[mask] = g
 		}
-		rows := g.Rows(r.Pattern)
-		_, rsp := obs.StartSpan(ctx, "remedy.region")
-		if rsp != nil {
-			rsp.SetStr("pattern", h.Space.String(r.Pattern))
+		act, err := ru.region(ctx, r, g.Rows(r.Pattern), scores)
+		if err != nil {
+			return nil, rep, err
 		}
-		var muts []mutation
-		act := applyRegion(cur, r, rows, opts.Technique, scores, &muts, rng)
-		counters.record(rsp, act)
-		rsp.End()
 		if act.Added+act.Removed > 0 {
 			clear(groups)
 		}
-		rep.Actions = append(rep.Actions, act)
-		rep.Added += act.Added
-		rep.Removed += act.Removed
-		rep.Flipped += act.Flipped
-		if opts.MaxAdded > 0 && rep.Added > opts.MaxAdded {
-			return nil, rep, ErrResourceLimit
-		}
 	}
 	return cur, rep, nil
-}
-
-func checkConfig(cfg core.Config) error {
-	if cfg.TauC < 0 || cfg.T < 1 {
-		return fmt.Errorf("remedy: invalid identification config (τ_c=%v, T=%d)", cfg.TauC, cfg.T)
-	}
-	return nil
 }
 
 // applyRegion remedies one biased region in place (on cur) and returns
@@ -442,10 +453,7 @@ func checkConfig(cfg core.Config) error {
 // region, ascending, from the grouping of the region's node; scores is
 // the ranker's P(y=1|x) per instance, only present for the ranker-based
 // techniques.
-func applyRegion(cur *dataset.Dataset, r core.Region, rows []int32, tech Technique, scores []float64, muts *[]mutation, rng interface {
-	Intn(int) int
-	Shuffle(int, func(int, int))
-}) Action {
+func applyRegion(cur *dataset.Dataset, r core.Region, rows []int32, tech Technique, scores []float64, muts *[]mutation, rng rowSampler) Action {
 	act := Action{Pattern: r.Pattern.Clone(), Ratio: r.Ratio, NeighborRatio: r.NeighborRatio}
 	rho := r.NeighborRatio
 	if rho < 0 {

@@ -69,8 +69,14 @@ func TestApplyRejectsBadInput(t *testing.T) {
 	if _, _, err := Apply(d, Options{Identify: core.Config{TauC: 0.1, T: 1}, Technique: "bogus"}); err == nil {
 		t.Fatal("unknown technique must error")
 	}
-	if _, _, err := Apply(d, Options{Identify: core.Config{TauC: -1, T: 1}}); err == nil {
-		t.Fatal("invalid config must error")
+	for _, cfg := range []core.Config{{TauC: -1, T: 1}, {TauC: 0.1, T: 0}} {
+		out, rep, err := Apply(d, Options{Identify: cfg})
+		if err == nil {
+			t.Fatalf("invalid config %+v must error", cfg)
+		}
+		if out != nil || rep != nil {
+			t.Fatalf("config error %v must return no dataset and no report", err)
+		}
 	}
 	noProt := dataset.New(&dataset.Schema{Target: "y",
 		Attrs: []dataset.Attr{{Name: "a", Values: []string{"0"}}}})

@@ -141,8 +141,7 @@ type engine struct {
 	wg         sync.WaitGroup
 	abort      context.CancelFunc // cancels the workers' base context, hard-stopping running jobs
 
-	jobTimeout time.Duration // default per-job deadline
-	maxTimeout time.Duration // clamp for request-supplied deadlines
+	jobTimeout time.Duration // per-job deadline, and the clamp for request-supplied ones
 	run        runnerFunc
 	metrics    *obs.Registry // server-level registry
 	logger     *obs.Logger
@@ -160,15 +159,14 @@ type engine struct {
 	journal *durable.Journal
 	// maxAttempts caps crash-recovery re-queues of one job.
 	maxAttempts int
-	// maxIdemKeys bounds the idem table (<=0 after config defaulting
-	// means unlimited; Config.withDefaults supplies 1024).
+	// maxIdemKeys bounds the idem table.
 	maxIdemKeys int
 }
 
 // newEngine builds the engine without starting its worker pool;
 // callers attach durability (journal, recovered jobs) and then call
 // start. Submissions before start simply wait in the queue.
-func newEngine(workers, queueDepth int, jobTimeout, maxTimeout time.Duration, run runnerFunc, m *obs.Registry, lg *obs.Logger) *engine {
+func newEngine(workers, queueDepth int, jobTimeout time.Duration, run runnerFunc, m *obs.Registry, lg *obs.Logger) *engine {
 	if workers <= 0 {
 		workers = 4
 	}
@@ -181,7 +179,6 @@ func newEngine(workers, queueDepth int, jobTimeout, maxTimeout time.Duration, ru
 		queue:      newFairQueue(queueDepth, TenantConfig{Weight: 1}, nil),
 		workers:    workers,
 		jobTimeout: jobTimeout,
-		maxTimeout: maxTimeout,
 		run:        run,
 		metrics:    m,
 		logger:     lg,
@@ -426,7 +423,7 @@ func (e *engine) idemDeleteLocked(key string) {
 // keyed jobs, which the bounded queue itself bounds. Caller holds
 // e.mu.
 func (e *engine) evictIdemLocked() {
-	if e.maxIdemKeys <= 0 || len(e.idem) <= e.maxIdemKeys {
+	if len(e.idem) <= e.maxIdemKeys {
 		return
 	}
 	kept := e.idemOrder[:0]
@@ -953,11 +950,8 @@ func (e *engine) runOne(baseCtx context.Context, j *job) {
 	}
 
 	timeout := e.jobTimeout
-	if j.req.TimeoutMS > 0 {
-		timeout = time.Duration(j.req.TimeoutMS) * time.Millisecond
-	}
-	if e.maxTimeout > 0 && (timeout <= 0 || timeout > e.maxTimeout) {
-		timeout = e.maxTimeout
+	if req := time.Duration(j.req.TimeoutMS) * time.Millisecond; req > 0 && (timeout <= 0 || req < timeout) {
+		timeout = req
 	}
 	var ctx context.Context
 	var cancel context.CancelFunc

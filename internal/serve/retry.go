@@ -39,7 +39,10 @@ type RetryPolicy struct {
 	// breaker). While open, one probe request at a time is allowed
 	// through; a probe success closes the breaker, anything else fails
 	// fast with ErrCircuitOpen. The breaker needs no clock, so it adds
-	// no nondeterminism.
+	// no nondeterminism. A test seam: TestCircuitBreakerOpensAndRecovers
+	// sets 2, TestBreakerConcurrentHalfOpenProbe 3,
+	// TestClientRetryCounters 2 and −1, and the cluster's chaos tests
+	// (netFleet) −1.
 	BreakerThreshold int
 	// OnRetry, when non-nil, is called before each backoff sleep —
 	// remedyctl uses it for "queue full, retrying (attempt n/k)" lines.

@@ -58,22 +58,21 @@ type Config struct {
 	// bounded queue length behind it (default 16).
 	Workers    int
 	QueueDepth int
-	// JobTimeout is the default per-job deadline (default 5m);
-	// MaxJobTimeout clamps request-supplied deadlines (default
-	// JobTimeout). Zero JobTimeout with zero MaxJobTimeout means jobs
-	// run without a deadline.
-	JobTimeout    time.Duration
-	MaxJobTimeout time.Duration
+	// JobTimeout is the per-job deadline (default 5m); a shorter
+	// request-supplied deadline wins, a longer one is clamped to it. A
+	// negative JobTimeout means jobs run without a deadline unless the
+	// request sets one.
+	JobTimeout time.Duration
 	// MaxAttempts caps how many lives one job gets across crash
 	// recoveries (default 3): a job found running in the journal is
 	// re-queued with its attempt counter bumped until the budget is
 	// spent, then marked failed. Only meaningful with a durable store.
 	MaxAttempts int
-	// MaxIdemKeys caps the idempotency-key dedup table (default 1024;
-	// negative = unlimited). Past the cap, keys of terminal jobs —
-	// whose outcome the journal already proves — are evicted oldest
-	// first; keys of live jobs are never evicted, so dedup of anything
-	// still in flight is unaffected.
+	// MaxIdemKeys caps the idempotency-key dedup table (default 1024).
+	// Past the cap, keys of terminal jobs — whose outcome the journal
+	// already proves — are evicted oldest first; keys of live jobs are
+	// never evicted, so dedup of anything still in flight is
+	// unaffected. A test seam: cluster_ready_test.go sets 8 and 2.
 	MaxIdemKeys int
 	// Tenants configures the multi-tenant admission layer: per-tenant
 	// fair-share weight and token-bucket quota, keyed by the tenant name
@@ -97,10 +96,9 @@ type Config struct {
 	// completion, so the expensive lattice levels are named without
 	// anyone having to fetch the trace in time.
 	SlowJobThreshold time.Duration
-	// Logger and Metrics are the server-level observability handles;
-	// nil means a silent logger and a fresh registry.
-	Logger  *obs.Logger
-	Metrics *obs.Registry
+	// Logger receives the server's log lines; nil is silent. The
+	// server makes its own metrics registry; Server.Metrics returns it.
+	Logger *obs.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -122,20 +120,14 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 5 * time.Minute
 	}
-	if c.MaxJobTimeout == 0 {
-		c.MaxJobTimeout = c.JobTimeout
-	}
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 3
 	}
-	if c.MaxIdemKeys == 0 {
+	if c.MaxIdemKeys <= 0 {
 		c.MaxIdemKeys = 1024
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 128
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
 	}
 	return c
 }
@@ -214,10 +206,10 @@ func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		registry: NewRegistry(cfg.MaxDatasets, cfg.MaxUploadRows, cfg.MaxUploadBytes),
-		metrics:  cfg.Metrics,
+		metrics:  obs.NewRegistry(),
 		logger:   cfg.Logger,
 	}
-	s.engine = newEngine(cfg.Workers, cfg.QueueDepth, cfg.JobTimeout, cfg.MaxJobTimeout,
+	s.engine = newEngine(cfg.Workers, cfg.QueueDepth, cfg.JobTimeout,
 		func(ctx context.Context, j *job) (any, error) { return s.runJob(ctx, j) },
 		s.metrics, s.logger)
 	s.engine.maxAttempts = cfg.MaxAttempts
